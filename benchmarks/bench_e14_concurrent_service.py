@@ -5,7 +5,7 @@ Four claims, all asserted (so ``make bench`` is also a correctness gate):
 1. serving a mixed hot/cold stream through the
    :class:`~repro.service.server.ConcurrentLabelingService` answers every
    request with a labeling **feasible on that request's own graph** and a
-   span identical to the serial :class:`~repro.service.batch.BatchSolver`
+   span identical to the serial :class:`~repro.service.api.LabelingService`
    answer — coalescing and coordinate translation never corrupt a result;
 2. **no duplicate solves**: however many threads submit however many
    overlapping requests, the engine runs exactly once per distinct
@@ -30,8 +30,7 @@ import pytest
 
 from repro.harness.workloads import SERVICE, service_stream
 from repro.parallel.pool import effective_cpu_count
-from repro.service.batch import BatchSolver
-from repro.service.cache import ResultCache
+from repro.service.api import LabelingService
 from repro.service.server import ConcurrentLabelingService
 
 LEG = SERVICE["mixed-dense"]
@@ -58,9 +57,7 @@ def serve_stream(stream, workers: int, clients: int = 4, **kwargs):
 def test_concurrent_matches_serial_and_feasible():
     stream = service_stream(LEG)
     _wall, _server, results = serve_stream(stream, workers=4)
-    serial, _report = BatchSolver(cache=ResultCache(), workers=1).solve_batch(
-        list(stream)
-    )
+    serial, _report = LabelingService().submit_many(list(stream))
     assert [r.span for r in results] == [r.span for r in serial]
     for req, res in zip(stream, results):
         res.labeling.require_feasible(req.graph, req.spec)

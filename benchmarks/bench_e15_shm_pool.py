@@ -4,7 +4,7 @@ Four claims, all asserted (so ``make bench`` is also a correctness gate):
 
 1. **serial equivalence** — the pool-offloaded server answers a cold
    request stream with exactly the spans (and per-request feasibility) of
-   the serial :class:`~repro.service.batch.BatchSolver`: crossing the
+   the serial :class:`~repro.service.api.LabelingService`: crossing the
    process boundary through shared memory changes nothing observable;
 2. **zero-copy adoption** — a worker's distance matrix is a numpy view
    into the parent's segment (``OWNDATA`` false, base chain ends at the
@@ -32,8 +32,7 @@ from repro.harness.workloads import SERVICE, service_stream
 from repro.labeling.spec import LpSpec
 from repro.parallel.pool import effective_cpu_count
 from repro.parallel.shm_pool import ShmArena, ShmWorkerPool
-from repro.service.batch import BatchSolver
-from repro.service.cache import ResultCache
+from repro.service.api import LabelingService
 
 from bench_e14_concurrent_service import serve_stream
 
@@ -43,9 +42,7 @@ LEG = SERVICE["cold-scaling"]
 def test_offloaded_stream_matches_serial():
     stream = service_stream(LEG)
     _wall, _server, results = serve_stream(stream, workers=2, offload=True)
-    serial, _report = BatchSolver(cache=ResultCache(), workers=1).solve_batch(
-        list(stream)
-    )
+    serial, _report = LabelingService().submit_many(list(stream))
     assert [r.span for r in results] == [r.span for r in serial]
     for req, res in zip(stream, results):
         res.labeling.require_feasible(req.graph, req.spec)

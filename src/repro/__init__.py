@@ -41,9 +41,8 @@ from repro.labeling.labeling import Labeling
 from repro.dynamic import DeltaEngine, full_apsp_refresh_count
 from repro.reduction.solver import LpTspSolver, SolveResult, solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
-from repro.service.api import LabelingService, solve_record
-from repro.service.batch import BatchReport, BatchSolver, ServiceResult
-from repro.service.cache import CacheStats, ResultCache
+from repro.service.api import BatchReport, LabelingService, solve_record
+from repro.service.cache import CacheStats
 from repro.service.canonical import CanonicalForm, canonical_form
 from repro.service.protocol import SolveRequest, SolveResponse
 from repro.service.server import ConcurrentLabelingService, ServerStats
@@ -95,15 +94,12 @@ __all__ = [
     "LabelingService",
     "solve_record",
     "BatchReport",
-    "BatchSolver",
-    "ServiceResult",
     "SolveRequest",
     "SolveResponse",
     "NetworkServer",
     "BackgroundServer",
     "run_load",
     "CacheStats",
-    "ResultCache",
     "ShardedResultCache",
     "ConcurrentLabelingService",
     "ServerStats",

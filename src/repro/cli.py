@@ -3,10 +3,9 @@
 Subcommands
 -----------
 ``solve``      solve L(p)-labeling for a graph file (edge-list or DIMACS)
-``batch``      solve many graphs through the caching batch service; with
-               ``--stream --workers K`` the stdin stream is served by the
-               concurrent front end and NDJSON records are emitted as
-               each request completes
+``batch``      solve many graphs through the concurrent caching service;
+               records print in input order, or with ``--stream`` as each
+               stdin request completes
 ``stats``      structural summary of a graph off one shared GraphAnalysis
 ``reduce``     print the reduced metric path-TSP weight matrix
 ``experiment`` run experiments from the E1–E11 reproduction suite
@@ -51,7 +50,7 @@ from repro.harness.workloads import WORKLOADS, make_workload
 from repro.labeling.spec import LpSpec
 from repro.reduction.solver import solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
-from repro.service.api import LabelingService, solve_record
+from repro.service.api import solve_record
 from repro.service.protocol import SolveRequest
 from repro.tsp.portfolio import ENGINES
 
@@ -111,114 +110,98 @@ def _batch_inputs(source: str) -> list[tuple[str, "object"]]:
     return pairs
 
 
-def _cmd_batch_stream(args: argparse.Namespace) -> int:
-    """Serve a stdin edge-list stream through the concurrent front end.
+def _cmd_batch(args: argparse.Namespace) -> int:
+    """``batch``: solve many graphs through the concurrent service (JSON lines).
 
-    NDJSON serving mode: requests are submitted as they are read (the
-    bounded queue applies backpressure to the read loop) and one JSON
-    record is emitted per request *in completion order* — a slow cold
-    solve never holds up the cache hits behind it.
+    A directory source (or ``-`` without ``--stream``) is read whole and
+    its records print in input order.  ``--stream`` serves the stdin
+    stream as it is read — the bounded queue applies backpressure to the
+    read loop — and prints each record *in completion order*, so a slow
+    cold solve never holds up the cache hits behind it.  Both modes end
+    with the same stderr summary.
     """
     import queue as queue_mod
 
-    from repro.service.api import LabelingService
     from repro.service.server import ConcurrentLabelingService
 
-    if args.source != "-":
+    if args.stream and args.source != "-":
         raise ReproError(
             "--stream serves the stdin edge-list stream; use `batch - --stream`"
         )
     spec = _parse_spec(args.p)
-    service = LabelingService(cache_path=args.cache)
+    inputs = None if args.stream else _batch_inputs(args.source)
+    if inputs == []:
+        print("no graphs found", file=sys.stderr)
+        return 2
     server = ConcurrentLabelingService(
-        service=service,
-        workers=args.workers or 4,
+        workers=args.workers,
         queue_size=args.queue_size,
         offload=args.offload,
+        cache_path=args.cache,
     )
-    done: "queue_mod.Queue" = queue_mod.Queue()
-    submitted = printed = 0
+
+    def _submit(tag, graph):
+        """Enqueue one graph; returns its future."""
+        return server.submit(
+            SolveRequest(graph=graph, spec=spec, engine=args.engine, tag=tag)
+        )
+
+    def _record(tag, graph, result) -> str:
+        """One NDJSON output line."""
+        return json.dumps(solve_record(
+            result, graph=graph, spec=spec, include_labels=args.labels, tag=tag
+        ))
+
     exit_code = 0
-
-    def _print_ready(block: bool) -> None:
-        """Emit records for completed futures (optionally blocking for them)."""
-        nonlocal printed, exit_code
-        while printed < submitted:
-            try:
-                tag, graph, fut = done.get(block=block)
-            except queue_mod.Empty:
-                return
-            try:
-                record = solve_record(
-                    fut.result(), graph=graph, spec=spec,
-                    include_labels=args.labels, tag=tag,
-                )
-            except Exception as exc:  # per-request failure: report, keep serving
-                record = {"tag": tag, "error": str(exc)}
-                exit_code = 1
-            print(json.dumps(record), flush=True)
-            printed += 1
-
     try:
-        for i, g in enumerate(gio.read_edge_list_stream(sys.stdin)):
-            tag = f"stdin[{i}]"
-            fut = server.submit(
-                SolveRequest(graph=g, spec=spec, engine=args.engine, tag=tag)
-            )
-            fut.add_done_callback(
-                lambda f, tag=tag, graph=g: done.put((tag, graph, f))
-            )
-            submitted += 1
-            _print_ready(block=False)
-        _print_ready(block=True)
+        if inputs is not None:
+            futures = [_submit(tag, g) for tag, g in inputs]
+            for (tag, graph), fut in zip(inputs, futures):
+                print(_record(tag, graph, fut.result()))
+        else:
+            done: "queue_mod.Queue" = queue_mod.Queue()
+            submitted = printed = 0
+
+            def _print_ready(block: bool) -> None:
+                """Emit records for completed futures (optionally blocking)."""
+                nonlocal printed, exit_code
+                while printed < submitted:
+                    try:
+                        tag, graph, fut = done.get(block=block)
+                    except queue_mod.Empty:
+                        return
+                    try:
+                        line = _record(tag, graph, fut.result())
+                    except Exception as exc:  # per-request failure: keep serving
+                        line = json.dumps({"tag": tag, "error": str(exc)})
+                        exit_code = 1
+                    print(line, flush=True)
+                    printed += 1
+
+            for i, g in enumerate(gio.read_edge_list_stream(sys.stdin)):
+                tag = f"stdin[{i}]"
+                _submit(tag, g).add_done_callback(
+                    lambda f, tag=tag, graph=g: done.put((tag, graph, f))
+                )
+                submitted += 1
+                _print_ready(block=False)
+            _print_ready(block=True)
     finally:
         server.shutdown(wait=True)
     if args.cache:
-        service.save_cache()
+        server.cache.save()
     summary = {
         "server": server.stats.to_json(),
-        "cache": service.stats().to_json(),
+        "cache": server.cache.stats.to_json(),
+        "shard_lock_wait": round(server.cache.contention_rate, 4),
     }
-    if hasattr(service.cache, "contention_rate"):
-        summary["shard_lock_wait"] = round(service.cache.contention_rate, 4)
     print(json.dumps(summary), file=sys.stderr)
-    return exit_code
-
-
-def _cmd_batch(args: argparse.Namespace) -> int:
-    """``batch``: solve many graphs via the caching service (JSON lines)."""
-    code = _cmd_batch_stream(args) if args.stream else _cmd_batch_dir(args)
     if args.metrics_dump:
         from repro.obs import REGISTRY
 
         path = REGISTRY.save(args.metrics_dump)
         print(f"metrics dump: {path}", file=sys.stderr)
-    return code
-
-
-def _cmd_batch_dir(args: argparse.Namespace) -> int:
-    """The directory-source batch path (one blocking ``submit_many``)."""
-    spec = _parse_spec(args.p)
-    inputs = _batch_inputs(args.source)
-    if not inputs:
-        print("no graphs found", file=sys.stderr)
-        return 2
-    service = LabelingService(cache_path=args.cache, workers=args.workers)
-    requests = [
-        SolveRequest(graph=g, spec=spec, engine=args.engine, tag=tag)
-        for tag, g in inputs
-    ]
-    results, report = service.submit_many(requests)
-    for (tag, graph), result in zip(inputs, results):
-        record = solve_record(
-            result, graph=graph, spec=spec, include_labels=args.labels, tag=tag
-        )
-        print(json.dumps(record))
-    if args.cache:
-        service.save_cache()
-    summary = {"report": report.to_json(), "cache": service.stats().to_json()}
-    print(json.dumps(summary), file=sys.stderr)
-    return 0
+    return exit_code
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
@@ -438,15 +421,13 @@ def _metrics_workload() -> None:
 
     The quick workload behind a bare ``repro-label metrics``: the SERVICE
     ``mixed-small`` stream through a 2-worker concurrent server (server
-    counters, queue gauges, latency histograms, sharded-cache counters,
-    shard contention), a duplicate solve pair through a single-lock-cache
-    service (the ``tier="single"`` counters), and one dynamic churn pass
-    (APSP and full-refresh counters).  Everything runs inline — no
-    process offload — so the whole thing finishes in well under a second.
+    counters, queue gauges, latency histograms, cache counters, shard
+    contention) and one dynamic churn pass (APSP and full-refresh
+    counters).  Everything runs inline — no process offload — so the
+    whole thing finishes in well under a second.
     """
     from concurrent.futures import wait
 
-    from repro.graphs import generators as gen
     from repro.harness.workloads import (
         DYNAMIC,
         SERVICE,
@@ -454,7 +435,6 @@ def _metrics_workload() -> None:
         churn_stream,
         service_stream,
     )
-    from repro.labeling.spec import L21
     from repro.service.server import ConcurrentLabelingService
 
     server = ConcurrentLabelingService(workers=2, offload=False)
@@ -465,11 +445,6 @@ def _metrics_workload() -> None:
         wait(futures)
     finally:
         server.shutdown(wait=True)
-
-    single = LabelingService(cache_shards=1)
-    g = gen.random_graph_with_diameter_at_most(16, 2, seed=3)
-    single.submit(SolveRequest(g, L21, engine="lk"))       # miss + put
-    single.submit(SolveRequest(g.copy(), L21, engine="lk"))  # hit
 
     base, ops = churn_stream(DYNAMIC["churn-diam2-small"])
     churn_maintain(base, ops)
@@ -666,7 +641,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument("-p", default="2,1", help="constraint vector, e.g. '2,1'")
     b.add_argument("--engine", default="auto", choices=["auto", *ENGINES])
-    b.add_argument("--workers", type=int, default=None, help="pool width")
+    b.add_argument("--workers", type=int, default=4,
+                   help="worker threads (default 4)")
     b.add_argument(
         "--cache", default=None, metavar="FILE",
         help="JSON cache file to warm-start from and persist to",
@@ -679,18 +655,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     b.add_argument(
         "--queue-size", type=int, default=64, metavar="N",
-        help="submission-queue high-water mark for --stream (default 64)",
+        help="submission-queue high-water mark (default 64)",
     )
     offload = b.add_mutually_exclusive_group()
     offload.add_argument(
         "--offload", dest="offload", action="store_true", default=None,
-        help="force cold --stream solves onto the shared-memory worker "
-             "pool (default: auto — offload when >1 worker and >1 "
-             "effective CPU)",
+        help="force cold solves onto the shared-memory worker pool "
+             "(default: auto — offload when >1 worker and >1 effective CPU)",
     )
     offload.add_argument(
         "--no-offload", dest="offload", action="store_false",
-        help="force cold --stream solves inline on the worker threads",
+        help="force cold solves inline on the worker threads",
     )
     b.add_argument(
         "--metrics-dump", default=None, metavar="FILE",

@@ -347,7 +347,7 @@ def service_stream(leg: str | ServiceLeg) -> list:
     canonical form can recognise them); cold requests use seeds disjoint
     from the hot pool's.  Deterministic: same leg, same stream.
     """
-    from repro.service.batch import SolveRequest
+    from repro.service.protocol import SolveRequest
     from repro.graphs.operations import relabel
     from repro.labeling.spec import LpSpec
 

@@ -156,7 +156,7 @@ def service_cache_scenario(quick: bool, repeats: int) -> PerfRecord:
     def run_batch() -> None:
         """One timed repeat: cold service, one batch of the stream."""
         nonlocal svc
-        svc = LabelingService(workers=1)
+        svc = LabelingService()
         svc.submit_many(make_stream())
 
     walls = _timed_repeats(run_batch, repeats)

@@ -1,45 +1,46 @@
-"""Request-level batch labeling service with a canonical-graph result cache.
+"""Request-level labeling service with a canonical-graph result cache.
 
 Layer map (bottom up):
 
 * :mod:`repro.service.canonical` — relabeling-invariant canonical forms and
   stable cache keys for ``(Graph, LpSpec)`` requests;
-* :mod:`repro.service.cache` — thread-safe LRU of solved labelings with
-  hit/miss/eviction stats and optional JSON persistence;
-* :mod:`repro.service.shard` — the same cache contract split over N
-  independently locked shards (the default for services), with
+* :mod:`repro.service.cache` — the cache entry and stats types and the
+  persisted file-format version;
+* :mod:`repro.service.shard` — the result cache: an LRU split over N
+  independently locked shards, with JSON persistence and the
   lock-contention stats the perf baseline gates;
-* :mod:`repro.service.batch` — deduplicating batch solver that shards cache
-  misses across the :mod:`repro.parallel` process pool;
-* :mod:`repro.service.api` — the :class:`LabelingService` facade the session
-  layer and the CLI route through;
+* :mod:`repro.service.protocol` — the ``SolveRequest``/``SolveResponse``
+  schema every service speaks, in process and on the wire;
+* :mod:`repro.service.api` — :func:`solve_canonical`, the one solve every
+  path runs inline, and the synchronous :class:`LabelingService` (serial
+  batches with in-batch dedup) the session layer routes through;
 * :mod:`repro.service.server` — the :class:`ConcurrentLabelingService`
-  front end: bounded submission queue, worker pool, in-flight dedup,
+  front end: bounded submission queue, worker pool (offloading to the
+  shared-memory process pool on multi-core hosts), in-flight dedup,
   backpressure and graceful shutdown.
 """
 
-from repro.service.api import LabelingService, solve_record
-from repro.service.batch import (
+from repro.service.api import (
     BatchReport,
-    BatchSolver,
-    ServiceResult,
-    SolveRequest,
+    LabelingService,
+    solve_canonical,
+    solve_record,
 )
-from repro.service.cache import CachedSolve, CacheStats, ResultCache
+from repro.service.cache import CachedSolve, CacheStats
 from repro.service.canonical import CanonicalForm, canonical_form, canonical_order
+from repro.service.protocol import SolveRequest, SolveResponse
 from repro.service.server import ConcurrentLabelingService, ServerStats
 from repro.service.shard import ShardedResultCache
 
 __all__ = [
     "LabelingService",
+    "solve_canonical",
     "solve_record",
     "BatchReport",
-    "BatchSolver",
-    "ServiceResult",
     "SolveRequest",
+    "SolveResponse",
     "CachedSolve",
     "CacheStats",
-    "ResultCache",
     "ShardedResultCache",
     "ConcurrentLabelingService",
     "ServerStats",

@@ -1,32 +1,17 @@
-"""Thread-safe LRU result cache with stats and optional JSON persistence.
+"""Result-cache value types and the persisted file format.
 
-The cache stores solved labelings in *canonical coordinates* (see
-:mod:`repro.service.canonical`), keyed by the canonical hash of the request.
-Entries are tiny — a label tuple plus scalars — so capacities in the
-thousands are cheap; eviction is least-recently-used.  Persistence is a
-plain JSON file so a service restart (or a second CLI invocation pointed at
-the same ``--cache`` file) starts warm.
+The cache (:class:`~repro.service.shard.ShardedResultCache`) stores solved
+labelings in *canonical coordinates* (see :mod:`repro.service.canonical`),
+keyed by the canonical hash of the request.  This module holds what every
+cache user shares: the entry type :class:`CachedSolve`, the lifetime
+counters :class:`CacheStats`, and the version marker of the JSON file a
+cache persists to, so a service restart (or a second CLI invocation
+pointed at the same ``--cache`` file) starts warm.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import tempfile
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from pathlib import Path
-
-from repro.errors import ReproError
-from repro.obs.metrics import REGISTRY
-
-#: Registry counter families shared by every cache tier; instances resolve
-#: per-tier children once at construction (see ``ResultCache.__init__``).
-_M_HITS = REGISTRY.counter("repro_cache_hits_total")
-_M_MISSES = REGISTRY.counter("repro_cache_misses_total")
-_M_PUTS = REGISTRY.counter("repro_cache_puts_total")
-_M_EVICTIONS = REGISTRY.counter("repro_cache_evictions_total")
 
 
 @dataclass(frozen=True)
@@ -101,148 +86,3 @@ class CacheStats:
 
 #: Format marker for persisted cache files.
 _PERSIST_VERSION = 1
-
-
-class ResultCache:
-    """LRU cache of :class:`CachedSolve` entries keyed by canonical hash.
-
-    All operations are guarded by one lock; the critical sections are
-    dictionary moves, so contention is negligible next to any solve.
-
-    >>> c = ResultCache(capacity=2)
-    >>> c.put("a", CachedSolve((0, 2), 2, "lk", False))
-    >>> c.get("a").span
-    2
-    >>> c.get("b") is None
-    True
-    >>> c.stats.hits, c.stats.misses
-    (1, 1)
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        path: str | Path | None = None,
-        metrics_tier: str = "single",
-    ) -> None:
-        """Create the cache; an existing ``path`` file warm-starts it.
-
-        ``metrics_tier`` labels this cache's registry counters
-        (``repro_cache_*_total{tier=...}``): ``"single"`` for the plain
-        one-lock cache, ``"sharded"`` for shards of a
-        :class:`~repro.service.shard.ShardedResultCache`.
-        """
-        if capacity < 1:
-            raise ReproError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = capacity
-        self.path = Path(path) if path is not None else None
-        self._lock = threading.Lock()
-        self._entries: OrderedDict[str, CachedSolve] = OrderedDict()
-        self.stats = CacheStats()
-        self._m_hits = _M_HITS.labels(tier=metrics_tier)
-        self._m_misses = _M_MISSES.labels(tier=metrics_tier)
-        self._m_puts = _M_PUTS.labels(tier=metrics_tier)
-        self._m_evictions = _M_EVICTIONS.labels(tier=metrics_tier)
-        if self.path is not None and self.path.exists():
-            self.load(self.path)
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> CachedSolve | None:
-        """Look up a key, counting a hit or miss and refreshing recency."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.stats.misses += 1
-                self._m_misses.inc()
-                return None
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-            self._m_hits.inc()
-            return entry
-
-    def peek(self, key: str) -> CachedSolve | None:
-        """Look up a key without touching stats or recency."""
-        with self._lock:
-            return self._entries.get(key)
-
-    def put(self, key: str, value: CachedSolve) -> None:
-        """Insert (or refresh) an entry, evicting the LRU tail if full."""
-        with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            self.stats.puts += 1
-            self._m_puts.inc()
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self._m_evictions.inc()
-
-    def clear(self) -> None:
-        """Drop every entry (lifetime stats are preserved)."""
-        with self._lock:
-            self._entries.clear()
-
-    def __len__(self) -> int:
-        """Number of live entries."""
-        with self._lock:
-            return len(self._entries)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether ``key`` is cached (no stats or recency side effects)."""
-        with self._lock:
-            return key in self._entries
-
-    # ------------------------------------------------------------------
-    def save(self, path: str | Path | None = None) -> Path:
-        """Persist entries as JSON (atomic rename); returns the path used."""
-        target = Path(path) if path is not None else self.path
-        if target is None:
-            raise ReproError("no persistence path configured for this cache")
-        with self._lock:
-            payload = {
-                "version": _PERSIST_VERSION,
-                "entries": {
-                    k: v.to_json() for k, v in self._entries.items()
-                },
-            }
-        target.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(
-            dir=str(target.parent), prefix=target.name, suffix=".tmp"
-        )
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                json.dump(payload, fh)
-            os.replace(tmp, target)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
-        return target
-
-    def load(self, path: str | Path) -> int:
-        """Merge entries from a JSON file; returns how many were loaded.
-
-        Unknown versions are ignored (a key-derivation bump makes old
-        entries unreachable anyway, so silently starting cold is correct).
-        """
-        source = Path(path)
-        try:
-            payload = json.loads(source.read_text(encoding="utf-8"))
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ReproError(f"unreadable cache file {source}: {exc}") from exc
-        if payload.get("version") != _PERSIST_VERSION:
-            return 0
-        entries = payload.get("entries", {})
-        try:
-            decoded = {str(k): CachedSolve.from_json(d) for k, d in entries.items()}
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ReproError(f"malformed cache file {source}: {exc!r}") from exc
-        with self._lock:
-            for k, entry in decoded.items():
-                self._entries[k] = entry
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                self._m_evictions.inc()
-        return len(entries)

@@ -50,6 +50,7 @@ import threading
 import time
 from concurrent.futures import CancelledError, Future
 from dataclasses import dataclass, field
+from pathlib import Path
 
 from repro.errors import (
     DeadlineExpiredError,
@@ -57,22 +58,20 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.graphs.analysis import GraphAnalysis, export_buffers, get_analysis
-from repro.graphs.graph import Graph
-from repro.labeling.spec import LpSpec
+from repro.graphs.analysis import export_buffers, get_analysis
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER, SpanContext
 from repro.parallel.pool import effective_cpu_count
 from repro.parallel.shm_pool import ShmArena, ShmDescriptor, ShmWorkerPool
-from repro.service.api import LabelingService
-from repro.service.batch import _answer, _composed_key
-from repro.service.protocol import SolveRequest, as_request
+from repro.service.api import _answer, _composed_key, solve_canonical
 from repro.service.cache import CachedSolve
 from repro.service.canonical import (
     CanonicalForm,
     canonical_form,
     canonical_instance,
 )
+from repro.service.protocol import SolveRequest
+from repro.service.shard import ShardedResultCache
 
 #: Default submission-queue high-water mark.
 DEFAULT_QUEUE_SIZE = 64
@@ -320,13 +319,10 @@ class _Job:
 
 
 class ConcurrentLabelingService:
-    """Thread-pool serving front-end over the sharded caching service.
+    """Thread-pool serving front-end over one sharded result cache.
 
     Parameters
     ----------
-    service:
-        The underlying :class:`LabelingService` (owns the cache and the
-        solve policy).  Built with a sharded cache when omitted.
     workers:
         Worker-thread count.  Also the persistent worker-pool width when
         cold solves are offloaded (see ``offload``).
@@ -345,6 +341,9 @@ class ConcurrentLabelingService:
         may run on more than one CPU (:func:`effective_cpu_count`, which
         respects container/affinity masks) — on a single core the pool
         would add process-hop overhead and parallelize nothing.
+    cache_capacity / cache_path:
+        Result-cache size, and an optional JSON file that warm-starts the
+        cache when it exists (persist with ``server.cache.save()``).
     start_method:
         Multiprocessing start method for the pool workers (``"fork"``,
         ``"spawn"``, ...); ``None`` uses the platform default.
@@ -352,25 +351,21 @@ class ConcurrentLabelingService:
 
     def __init__(
         self,
-        service: LabelingService | None = None,
         workers: int = 4,
         queue_size: int = DEFAULT_QUEUE_SIZE,
         block: bool = True,
         offload: bool | None = None,
         cache_capacity: int = 4096,
-        cache_shards: int | None = None,
+        cache_path: str | Path | None = None,
         start_method: str | None = None,
         router: QosRouter | None = None,
     ) -> None:
-        """Build the queue, cache-backed service, and start the workers."""
+        """Build the queue and the cache, and start the workers."""
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         if queue_size < 1:
             raise ReproError(f"queue_size must be >= 1, got {queue_size}")
-        if service is None:
-            kwargs = {} if cache_shards is None else {"cache_shards": cache_shards}
-            service = LabelingService(cache_capacity=cache_capacity, **kwargs)
-        self.service = service
+        self.cache = ShardedResultCache(capacity=cache_capacity, path=cache_path)
         #: Tier selection policy; pass a pre-configured :class:`QosRouter`
         #: to tune the degradation thresholds.
         self.router = router if router is not None else QosRouter(queue_size)
@@ -432,11 +427,6 @@ class ConcurrentLabelingService:
             t.start()
 
     # ------------------------------------------------------------------
-    @property
-    def cache(self):
-        """The underlying (sharded) result cache."""
-        return self.service.cache
-
     def queue_depth(self) -> int:
         """Requests currently queued (approximate, unlocked read)."""
         return self._queue.qsize()
@@ -464,18 +454,12 @@ class ConcurrentLabelingService:
     # ------------------------------------------------------------------
     def submit(
         self,
-        request: SolveRequest | Graph,
-        spec: LpSpec | None = None,
-        engine: str = "auto",
-        tag: str | None = None,
-        analysis: GraphAnalysis | None = None,
+        request: SolveRequest,
         block: bool | None = None,
         timeout: float | None = None,
     ) -> Future:
         """Enqueue one request; returns a future of its ``SolveResponse``.
 
-        Takes one :class:`SolveRequest` (the legacy ``submit(graph, spec,
-        ...)`` signature still works behind a :class:`DeprecationWarning`).
         The canonical key is derived on the calling thread (the request's
         ``analysis`` forwards a pre-computed oracle exactly like
         :meth:`LabelingService.submit`); everything after that happens on
@@ -489,9 +473,6 @@ class ConcurrentLabelingService:
         :class:`ServiceOverloadedError`.
         """
         t_submit = time.perf_counter()
-        request = as_request(
-            request, spec, engine=engine, tag=tag, analysis=analysis
-        )
         tier = self.router.route(request, self._queue.qsize())
         deadline = (
             t_submit + request.deadline_ms / 1000.0
@@ -574,18 +555,9 @@ class ConcurrentLabelingService:
         )
         return public
 
-    def solve(
-        self,
-        request: SolveRequest | Graph,
-        spec: LpSpec | None = None,
-        engine: str = "auto",
-        tag: str | None = None,
-        analysis: GraphAnalysis | None = None,
-    ):
-        """Blocking convenience: ``submit(...).result()``."""
-        return self.submit(
-            request, spec, engine=engine, tag=tag, analysis=analysis
-        ).result()
+    def solve(self, request: SolveRequest):
+        """Blocking convenience: ``submit(request).result()``."""
+        return self.submit(request).result()
 
     # ------------------------------------------------------------------
     def _deliver(
@@ -602,8 +574,9 @@ class ConcurrentLabelingService:
 
         A ``follower`` (a request that coalesced onto another's in-flight
         solve) reports ``cached=True`` with zero seconds — the same
-        accounting :class:`~repro.service.batch.BatchSolver` uses for
-        in-batch duplicates: no engine ran *for this request*.  Every
+        accounting :meth:`LabelingService.submit_many
+        <repro.service.api.LabelingService.submit_many>` uses for in-batch
+        duplicates: no engine ran *for this request*.  Every
         resolution (including errors) lands one end-to-end sample in the
         ``repro_request_seconds`` histogram.
         """
@@ -689,49 +662,15 @@ class ConcurrentLabelingService:
         if entry is not None:
             self._finish(job, entry, cached=True, seconds=0.0)
             return
-        plain = (
-            job.key,
-            job.form.n,
-            job.form.edges,
-            job.request.spec.p,
-            job.request.engine,
-        )
         try:
-            if job.tier == "approx":
+            if job.tier == "approx" or self._pool is None:
                 # the one-pass degraded solver never offloads — a process
                 # hop would cost more than the solve itself
-                entry, seconds = self.service.solver._solve_approx_inline(
-                    job.form, job.request
+                entry, seconds = self._solve_inline(
+                    job.form, job.request, job.tier
                 )
-                labels, span = entry.labels, entry.span
-                engine, exact = entry.engine, entry.exact
-                gap = entry.gap
-            elif self._pool is not None:
-                ctx = TRACER.current_context()
-                ctx_row = (
-                    {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
-                    if ctx is not None
-                    else None
-                )
-                descriptor = self._lease_segment(job)
-                try:
-                    _key, labels, span, engine, exact, seconds = (
-                        self._pool.submit(
-                            descriptor,
-                            (job.key, job.request.spec.p, job.request.engine),
-                            ctx_row,
-                        ).result()
-                    )
-                finally:
-                    self._arena.release(job.form.key)
-                gap = None
             else:
-                _key, labels, span, engine, exact, seconds = (
-                    self.service.solver._solve_inline(
-                        plain, job.form, job.request
-                    )
-                )
-                gap = None
+                entry, seconds = self._solve_offloaded(job)
         except BaseException as exc:  # engine failures must reach the waiters
             with self._lock:
                 self._inflight.pop(job.key, None)
@@ -740,11 +679,34 @@ class ConcurrentLabelingService:
             return
         self._m_solve.observe(seconds)
         _TIER_SECONDS[job.tier].observe(seconds)
-        entry = CachedSolve(
-            labels=labels, span=span, engine=engine, exact=exact, gap=gap
-        )
         self.cache.put(job.key, entry)
         self._finish(job, entry, cached=False, seconds=seconds)
+
+    def _solve_inline(
+        self, form: CanonicalForm, request: SolveRequest, tier: str
+    ) -> tuple[CachedSolve, float]:
+        """Solve on the calling worker thread (see :func:`solve_canonical`)."""
+        return solve_canonical(form, request, tier)
+
+    def _solve_offloaded(self, job: _Job) -> tuple[CachedSolve, float]:
+        """Solve on the shared-memory worker pool; the graph never pickles."""
+        ctx = TRACER.current_context()
+        ctx_row = (
+            {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
+            if ctx is not None
+            else None
+        )
+        descriptor = self._lease_segment(job)
+        try:
+            _key, labels, span, engine, exact, seconds = self._pool.submit(
+                descriptor,
+                (job.key, job.request.spec.p, job.request.engine),
+                ctx_row,
+            ).result()
+        finally:
+            self._arena.release(job.form.key)
+        entry = CachedSolve(labels=labels, span=span, engine=engine, exact=exact)
+        return entry, seconds
 
     def _lease_segment(self, job: _Job) -> ShmDescriptor:
         """The job's canonical buffers in shared memory, leased for one solve.

@@ -1,23 +1,23 @@
-"""Sharded result cache: N independently locked LRU shards.
+"""The result cache: an LRU split over N independently locked shards.
 
-Under concurrent serving the single :class:`~repro.service.cache.ResultCache`
-lock becomes the contention point — every worker's lookup and every client's
-fast-path probe serialize on one mutex even though they touch different
-keys.  :class:`ShardedResultCache` splits the key space over ``shards``
-independent :class:`~repro.service.cache.ResultCache` instances (stable
-CRC32 of the key picks the shard), so two operations contend only when they
-land on the same shard: with shards ≫ worker threads the probability is
-small and the expected wait is a fraction of the single-lock design's.
+Under concurrent serving one cache lock becomes the contention point —
+every worker's lookup and every client's fast-path probe serialize on one
+mutex even though they touch different keys.  :class:`ShardedResultCache`
+splits the key space over ``shards`` independent LRU maps (stable CRC32 of
+the key picks the shard), so two operations contend only when they land on
+the same shard: with shards ≫ worker threads the probability is small and
+the expected wait is a fraction of a single-lock design's.  ``shards=1``
+*is* the single-lock design.
 
 Each shard's lock additionally *counts contended acquisitions* (an acquire
 that found the lock held), so the serving layer can report a
 ``shard_lock_wait`` rate — the perf baseline gates it: sharding the cache
 must never become a regression in disguise.
 
-The aggregate keeps the single cache's interface (``get``/``peek``/``put``/
-``stats``/``save``/``load``), and persistence uses the *same JSON format*,
-so a file written by a plain ``ResultCache`` warms a sharded one and vice
-versa.
+Persistence is one JSON file (format version
+:data:`~repro.service.cache._PERSIST_VERSION`), written by :meth:`save`
+and merged on construction when ``path`` exists; the file does not depend
+on the shard count, so any cache warms from any other cache's file.
 
 >>> from repro.service.cache import CachedSolve
 >>> c = ShardedResultCache(capacity=64, shards=4)
@@ -37,21 +37,23 @@ import os
 import tempfile
 import threading
 import zlib
+from collections import OrderedDict
 from pathlib import Path
 
 from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY
-from repro.service.cache import (
-    _PERSIST_VERSION,
-    CachedSolve,
-    CacheStats,
-    ResultCache,
-)
+from repro.service.cache import _PERSIST_VERSION, CachedSolve, CacheStats
 
 #: Default shard count.  Sixteen shards keep the expected contention rate
 #: under 1/16 per colliding pair while the per-shard overhead (a lock and an
 #: OrderedDict) stays trivial.
 DEFAULT_SHARDS = 16
+
+#: Registry counters, summed over every shard of every cache.
+_M_HITS = REGISTRY.counter("repro_cache_hits_total").labels()
+_M_MISSES = REGISTRY.counter("repro_cache_misses_total").labels()
+_M_PUTS = REGISTRY.counter("repro_cache_puts_total").labels()
+_M_EVICTIONS = REGISTRY.counter("repro_cache_evictions_total").labels()
 
 
 class _ContentionLock:
@@ -89,13 +91,75 @@ class _ContentionLock:
         return self._lock.locked()
 
 
-class _CacheShard(ResultCache):
-    """One shard: a plain :class:`ResultCache` behind a counting lock."""
+class _CacheShard:
+    """One shard: an LRU map of :class:`CachedSolve` behind a counting lock.
+
+    The critical sections are dictionary moves, so contention is
+    negligible next to any solve.
+    """
 
     def __init__(self, capacity: int) -> None:
-        """A path-less ResultCache guarded by a counting lock."""
-        super().__init__(capacity=capacity, path=None, metrics_tier="sharded")
-        self._lock = _ContentionLock()  # replaces the plain mutex
+        """An empty shard holding at most ``capacity`` entries."""
+        self.capacity = capacity
+        self._lock = _ContentionLock()
+        self._entries: OrderedDict[str, CachedSolve] = OrderedDict()
+        self.stats = CacheStats()
+
+    def get(self, key: str) -> CachedSolve | None:
+        """Look up a key, counting a hit or miss and refreshing recency."""
+        with self._lock:
+            entry = self._entries.get(key)
+            if entry is None:
+                self.stats.misses += 1
+                _M_MISSES.inc()
+                return None
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+            _M_HITS.inc()
+            return entry
+
+    def peek(self, key: str) -> CachedSolve | None:
+        """Look up a key without touching stats or recency."""
+        with self._lock:
+            return self._entries.get(key)
+
+    def put(self, key: str, value: CachedSolve, count: bool = True) -> None:
+        """Insert (or refresh) an entry, evicting the LRU tail if full.
+
+        ``count=False`` (loading a file) skips the ``puts`` counters;
+        evictions always count.
+        """
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            self._entries[key] = value
+            if count:
+                self.stats.puts += 1
+                _M_PUTS.inc()
+            while len(self._entries) > self.capacity:
+                self._entries.popitem(last=False)
+                self.stats.evictions += 1
+                _M_EVICTIONS.inc()
+
+    def items(self) -> list[tuple[str, CachedSolve]]:
+        """A snapshot of the live entries, LRU first."""
+        with self._lock:
+            return list(self._entries.items())
+
+    def clear(self) -> None:
+        """Drop every entry (lifetime stats are preserved)."""
+        with self._lock:
+            self._entries.clear()
+
+    def __len__(self) -> int:
+        """Number of live entries."""
+        with self._lock:
+            return len(self._entries)
+
+    def __contains__(self, key: str) -> bool:
+        """Whether ``key`` is cached (no stats or recency side effects)."""
+        with self._lock:
+            return key in self._entries
 
     @property
     def lock_contentions(self) -> int:
@@ -109,16 +173,16 @@ class ShardedResultCache:
     Parameters
     ----------
     capacity:
-        Total entry budget, divided evenly across shards (each shard
-        evicts independently, so the instantaneous total can sit slightly
-        under ``capacity`` when the key distribution is skewed).
+        Total entry budget.  It is split so the shard capacities sum to
+        exactly ``capacity`` (the first ``capacity % shards`` shards hold
+        one entry more); each shard evicts independently, so the total
+        sits under ``capacity`` until every shard is full.
     shards:
-        Number of independent locks/LRU maps.  ``1`` degenerates to the
-        single-lock design (useful for A/B measurements).
+        Number of independent locks/LRU maps, capped at ``capacity``.
+        ``1`` is the single-lock design.
     path:
-        Optional JSON persistence path, same format and semantics as
-        :class:`~repro.service.cache.ResultCache` (load on construction
-        when the file exists, explicit :meth:`save`).
+        Optional JSON persistence path: an existing file warm-starts the
+        cache on construction; :meth:`save` writes it.
     """
 
     def __init__(
@@ -135,8 +199,10 @@ class ShardedResultCache:
         shards = min(shards, capacity)  # a shard needs room for >= 1 entry
         self.capacity = capacity
         self.path = Path(path) if path is not None else None
-        per_shard = -(-capacity // shards)  # ceil division
-        self._shards = tuple(_CacheShard(per_shard) for _ in range(shards))
+        base, extra = divmod(capacity, shards)
+        self._shards = tuple(
+            _CacheShard(base + (i < extra)) for i in range(shards)
+        )
         # Contention gauges sample this instance through a weak reference —
         # the most recently built sharded cache owns the gauge, and a
         # collected cache leaves the last sampled value behind instead of
@@ -223,21 +289,17 @@ class ShardedResultCache:
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path | None = None) -> Path:
-        """Persist all shards as one JSON file (atomic rename).
+        """Persist every shard as one JSON file (atomic rename).
 
-        The payload is byte-compatible with
-        :meth:`repro.service.cache.ResultCache.save`, so sharded and
-        single-lock caches can warm-start from each other's files.
+        Returns the path written: ``path`` when given, else the cache's
+        own ``path``.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ReproError("no persistence path configured for this cache")
-        entries: dict[str, dict] = {}
-        for shard in self._shards:
-            with shard._lock:
-                entries.update(
-                    (k, v.to_json()) for k, v in shard._entries.items()
-                )
+        entries = {
+            k: v.to_json() for shard in self._shards for k, v in shard.items()
+        }
         payload = {"version": _PERSIST_VERSION, "entries": entries}
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -256,9 +318,9 @@ class ShardedResultCache:
     def load(self, path: str | Path) -> int:
         """Merge entries from a JSON file, routing each to its shard.
 
-        Accepts files written by either cache flavour; returns how many
-        entries the file held (unknown versions load zero, exactly like
-        :meth:`ResultCache.load`).
+        Returns how many entries the file held.  Unknown versions load
+        zero entries (a key-derivation bump makes old entries unreachable
+        anyway, so silently starting cold is correct).
         """
         source = Path(path)
         try:
@@ -275,11 +337,5 @@ class ShardedResultCache:
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"malformed cache file {source}: {exc!r}") from exc
         for k, entry in decoded.items():
-            shard = self._shard_for(k)
-            with shard._lock:
-                shard._entries[k] = entry
-                while len(shard._entries) > shard.capacity:
-                    shard._entries.popitem(last=False)
-                    shard.stats.evictions += 1
-                    shard._m_evictions.inc()
+            self._shard_for(k).put(k, entry, count=False)
         return len(entries)

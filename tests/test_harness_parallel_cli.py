@@ -169,8 +169,8 @@ class TestCli:
         assert [r["span"] for r in records] == [4, 4, 4]
         assert [r["cached"] for r in records] == [False, True, True]
         summary = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
-        assert summary["report"]["total"] == 3
-        assert summary["report"]["solved"] == 1
+        assert summary["server"]["submitted"] == 3
+        assert summary["server"]["solved"] == 1
 
     def test_batch_from_directory_with_cache(self, tmp_path, capfd):
         import json
@@ -192,6 +192,58 @@ class TestCli:
         records = [json.loads(line) for line in out.strip().splitlines()]
         assert all(r["cached"] for r in records)
         assert sorted(r["tag"] for r in records) == ["g0.edges", "g1.edges"]
+
+    def test_batch_directory_workers_keep_input_order(self, tmp_path, capfd):
+        import json
+        from repro.graphs import io as gio
+        from repro.graphs.operations import relabel
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        graphs = [
+            gen.random_graph_with_diameter_at_most(9, 2, seed=seed)
+            for seed in range(4)
+        ]
+        # a relabeled duplicate of g0, sorted last by file name
+        graphs.append(relabel(graphs[0], list(reversed(range(9)))))
+        for i, g in enumerate(graphs):
+            gio.write_edge_list(g, gdir / f"g{i}.edges")
+        runs = {}
+        for workers in ("1", "2"):
+            code, out = self.run_cli(["batch", str(gdir), "--workers", workers,
+                                      "--engine", "held_karp"])
+            assert code == 0
+            runs[workers] = [json.loads(line) for line in out.splitlines()]
+            summary = json.loads(capfd.readouterr().err.strip().splitlines()[-1])
+            assert summary["server"]["submitted"] == 5
+            assert summary["server"]["solved"] == 4
+            assert "cache" in summary and "shard_lock_wait" in summary
+        for records in runs.values():
+            assert [r["tag"] for r in records] == [
+                f"g{i}.edges" for i in range(5)
+            ]
+            assert records[4]["cached"] is True
+        assert [r["span"] for r in runs["2"]] == [r["span"] for r in runs["1"]]
+
+    def test_batch_cache_file_from_single_lock_cache(self, tmp_path):
+        import json
+        import shutil
+        from pathlib import Path
+        from repro.graphs import io as gio
+        from repro.graphs.operations import relabel
+        fixture = Path(__file__).parent / "data" / "cache_v1.json"
+        cache = tmp_path / "cache.json"
+        shutil.copy(fixture, cache)
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        # the fixture holds g = diam2(8, seed=1) solved with held_karp
+        g = gen.random_graph_with_diameter_at_most(8, 2, seed=1)
+        gio.write_edge_list(relabel(g, [3, 0, 7, 1, 6, 2, 5, 4]),
+                            gdir / "g.edges")
+        code, out = self.run_cli(["batch", str(gdir), "--cache", str(cache),
+                                  "--engine", "held_karp"])
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.splitlines()]
+        assert record["cached"] is True
 
     def test_batch_stream_serving_mode(self, capfd):
         import json

@@ -62,18 +62,18 @@ def get(url, path):
 
 def gated_solver(server, started=None, release=None, gate_tag=None):
     """Gate the service's inline solve: ``gate_tag`` (or all) requests block."""
-    solver = server.service.service.solver
-    orig = solver._solve_inline
+    service = server.service
+    orig = service._solve_inline
 
-    def gated(plain, form, request):
+    def gated(form, request, tier):
         if gate_tag is None or request.tag == gate_tag:
             if started is not None:
                 started.set()
             if release is not None:
                 assert release.wait(timeout=30), "test forgot to release"
-        return orig(plain, form, request)
+        return orig(form, request, tier)
 
-    solver._solve_inline = gated
+    service._solve_inline = gated
 
 
 # ---------------------------------------------------------------------------

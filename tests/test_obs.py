@@ -282,6 +282,7 @@ class TestServerIntegration:
         from repro.graphs import generators as gen
         from repro.labeling.spec import L21
         from repro.obs import TRACER
+        from repro.service.protocol import SolveRequest
         from repro.service.server import ConcurrentLabelingService
 
         TRACER.drain()  # isolate from earlier tests
@@ -289,7 +290,8 @@ class TestServerIntegration:
         server = ConcurrentLabelingService(workers=2, offload=offload)
         try:
             with span("client") as root:
-                server.submit(g, L21, engine="lk").result(timeout=60)
+                req = SolveRequest(g, L21, engine="lk")
+                server.submit(req).result(timeout=60)
         finally:
             server.shutdown(wait=True)
         return root, TRACER.drain()
@@ -317,12 +319,13 @@ class TestServerIntegration:
     def test_worker_utilization_accounting(self):
         from repro.graphs import generators as gen
         from repro.labeling.spec import L21
+        from repro.service.protocol import SolveRequest
         from repro.service.server import ConcurrentLabelingService
 
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=6)
         server = ConcurrentLabelingService(workers=2, offload=False)
         try:
-            server.submit(g, L21, engine="lk").result(timeout=60)
+            server.submit(SolveRequest(g, L21, engine="lk")).result(timeout=60)
             server.drain()
         finally:
             server.shutdown(wait=True)
@@ -355,16 +358,17 @@ class TestLegacyCounterEquivalence:
         )
 
     def test_cache_counters_mirror_stats(self):
-        from repro.service.cache import CachedSolve, ResultCache
+        from repro.service.cache import CachedSolve
+        from repro.service.shard import ShardedResultCache
 
-        h0 = REGISTRY.value("repro_cache_hits_total", tier="single")
-        m0 = REGISTRY.value("repro_cache_misses_total", tier="single")
-        c = ResultCache(capacity=2)
+        h0 = REGISTRY.value("repro_cache_hits_total")
+        m0 = REGISTRY.value("repro_cache_misses_total")
+        c = ShardedResultCache(capacity=2, shards=1)
         c.get("x")
         c.put("x", CachedSolve((0,), 0, "lk", False))
         c.get("x")
-        assert REGISTRY.value("repro_cache_hits_total", tier="single") == h0 + 1
-        assert REGISTRY.value("repro_cache_misses_total", tier="single") == m0 + 1
+        assert REGISTRY.value("repro_cache_hits_total") == h0 + 1
+        assert REGISTRY.value("repro_cache_misses_total") == m0 + 1
         assert (c.stats.hits, c.stats.misses) == (1, 1)
 
     def test_shard_contention_gauge_tracks_owner(self):

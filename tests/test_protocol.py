@@ -2,9 +2,8 @@
 
 Covers the lossless wire round-trip for :class:`SolveRequest` /
 :class:`SolveResponse` (seeded and property-based), the validation
-behaviour on malformed payloads, the consolidated error table in
-:mod:`repro.errors`, and the deprecation shims that keep the legacy
-``submit(graph, spec, ...)`` signatures working on both service flavours.
+behaviour on malformed payloads, and the consolidated error table in
+:mod:`repro.errors`.
 """
 
 import json
@@ -13,7 +12,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro
 from repro.errors import (
     ERROR_TABLE,
     ReproError,
@@ -28,9 +26,7 @@ from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import L21, LpSpec
 from repro.service.api import LabelingService
-from repro.service.batch import ServiceResult
-from repro.service.protocol import SolveRequest, SolveResponse, as_request
-from repro.service.server import ConcurrentLabelingService
+from repro.service.protocol import SolveRequest, SolveResponse
 
 ENGINE = "nearest_neighbor"
 
@@ -52,7 +48,7 @@ def test_request_roundtrip_seeded_graphs():
 
 
 def test_request_roundtrip_preserves_canonical_key():
-    from repro.service.batch import _composed_key
+    from repro.service.api import _composed_key
     from repro.service.canonical import canonical_form
 
     g = gen.random_graph_with_diameter_at_most(14, 2, seed=3)
@@ -161,11 +157,6 @@ def test_response_roundtrip_from_live_solve():
     assert back == resp
 
 
-def test_service_result_is_solve_response_alias():
-    assert ServiceResult is SolveResponse
-    assert repro.ServiceResult is repro.SolveResponse
-
-
 # ---------------------------------------------------------------------------
 # validation
 # ---------------------------------------------------------------------------
@@ -264,39 +255,9 @@ def test_cli_error_line_carries_code(capsys, tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# deprecation shims
+# the request object is the only submit form
 # ---------------------------------------------------------------------------
-def test_legacy_submit_warns_and_still_works():
-    svc = LabelingService()
-    g = gen.cycle_graph(5)
-    with pytest.deprecated_call():
-        legacy = svc.submit(g, L21, engine="held_karp")
-    fresh = svc.submit(SolveRequest(g, L21, engine="held_karp"))
-    assert legacy.span == fresh.span
-    assert fresh.cached  # same canonical key either way
-
-
-def test_legacy_concurrent_submit_warns_and_still_works():
-    server = ConcurrentLabelingService(workers=1, offload=False)
-    try:
-        with pytest.deprecated_call():
-            fut = server.submit(gen.cycle_graph(5), L21, engine=ENGINE)
-        assert fut.result(timeout=30).span >= 4
-        fut2 = server.submit(SolveRequest(gen.cycle_graph(5), L21, engine=ENGINE))
-        assert fut2.result(timeout=30).cached
-    finally:
-        server.shutdown(wait=True)
-
-
 def test_new_submit_does_not_warn(recwarn):
     svc = LabelingService()
     svc.submit(SolveRequest(gen.cycle_graph(5), L21, engine=ENGINE))
     assert not [w for w in recwarn if w.category is DeprecationWarning]
-
-
-def test_as_request_rejects_conflicting_forms():
-    req = SolveRequest(gen.cycle_graph(5), L21)
-    with pytest.raises(ReproError):
-        as_request(req, L21)             # spec alongside a request object
-    with pytest.raises(ReproError):
-        as_request(gen.cycle_graph(5))   # graph without a spec

@@ -43,38 +43,29 @@ def make_server(**kwargs):
 
 
 def gated_solver(server, started=None, release=None):
-    """Event-gate the server's inline exact solve (no sleeps in tests)."""
-    solver = server.service.solver
-    orig = solver._solve_inline
+    """Event-gate the server's inline solve (no sleeps in tests)."""
+    orig = server._solve_inline
 
-    def gated(job, form, request):
+    def gated(form, request, tier):
         if started is not None:
             started.set()
         if release is not None:
             assert release.wait(timeout=10), "test forgot to release the solver"
-        return orig(job, form, request)
+        return orig(form, request, tier)
 
-    solver._solve_inline = gated
-    return solver
+    server._solve_inline = gated
 
 
 def counting_solvers(server):
     """Count every exact and approx solve the server actually runs."""
-    solver = server.service.solver
     counts = {"exact": 0, "approx": 0}
-    orig_exact = solver._solve_inline
-    orig_approx = solver._solve_approx_inline
+    orig = server._solve_inline
 
-    def exact(job, form, request):
-        counts["exact"] += 1
-        return orig_exact(job, form, request)
+    def counting(form, request, tier):
+        counts[tier] += 1
+        return orig(form, request, tier)
 
-    def approx(form, request):
-        counts["approx"] += 1
-        return orig_approx(form, request)
-
-    solver._solve_inline = exact
-    solver._solve_approx_inline = approx
+    server._solve_inline = counting
     return counts
 
 
@@ -245,18 +236,17 @@ def test_generous_deadline_not_dropped():
 def test_mid_stream_crash_still_resolves_every_public_future():
     graphs = _graphs(6, start=60)
     server = make_server(workers=2, queue_size=8)
-    solver = server.service.solver
-    orig = solver._solve_inline
+    orig = server._solve_inline
     crash_on = {2}  # the third distinct solve dies mid-stream
 
-    def crashing(job, form, request, _seen=[]):
+    def crashing(form, request, tier, _seen=[]):
         idx = len(_seen)
         _seen.append(form.key)
         if idx in crash_on:
             raise RuntimeError("injected mid-stream worker crash")
-        return orig(job, form, request)
+        return orig(form, request, tier)
 
-    solver._solve_inline = crashing
+    server._solve_inline = crashing
     try:
         futures = [
             server.submit(SolveRequest(g, L21, engine=ENGINE)) for g in graphs

@@ -1,4 +1,4 @@
-"""Batch solver + LabelingService: dedup, correctness, sharding, sessions."""
+"""LabelingService batches + sessions: dedup, accounting, correctness."""
 
 import numpy as np
 import pytest
@@ -8,8 +8,7 @@ from repro.graphs.operations import relabel
 from repro.labeling.spec import L11, L21
 from repro.reduction.solver import solve_labeling
 from repro.service.api import LabelingService, solve_record
-from repro.service.batch import BatchSolver, SolveRequest
-from repro.service.cache import ResultCache
+from repro.service.protocol import SolveRequest
 from repro.session import LabelingSession, _diff_labels
 
 
@@ -34,14 +33,15 @@ def duplicate_stream(uniques, copies, engine="held_karp"):
 
 
 class TestBatchSolver:
+    """Serial batches through ``LabelingService.submit_many``."""
+
     def test_results_in_request_order_and_feasible(self):
         uniques = [
             gen.random_graph_with_diameter_at_most(10, 2, seed=s)
             for s in range(3)
         ]
         reqs = duplicate_stream(uniques, copies=2)
-        solver = BatchSolver(cache=ResultCache(), workers=1)
-        results, report = solver.solve_batch(reqs)
+        results, report = LabelingService().submit_many(reqs)
         assert [r.tag for r in results] == [r.tag for r in reqs]
         for req, res in zip(reqs, results):
             assert res.labeling.require_feasible(req.graph, req.spec)
@@ -50,7 +50,7 @@ class TestBatchSolver:
         g = gen.random_graph_with_diameter_at_most(11, 2, seed=4)
         direct = solve_labeling(g, L21, engine="held_karp").span
         reqs = duplicate_stream([g], copies=4)
-        results, _ = BatchSolver(cache=ResultCache(), workers=1).solve_batch(reqs)
+        results, _ = LabelingService().submit_many(reqs)
         assert all(r.span == direct for r in results)
         assert sum(not r.cached for r in results) == 1
 
@@ -60,8 +60,7 @@ class TestBatchSolver:
             for s in range(2)
         ]
         reqs = duplicate_stream(uniques, copies=3)   # 2 unique, 8 total
-        solver = BatchSolver(cache=ResultCache(), workers=1)
-        results, report = solver.solve_batch(reqs)
+        results, report = LabelingService().submit_many(reqs)
         assert report.total == 8
         assert report.unique == 2
         assert report.solved == 2
@@ -72,78 +71,46 @@ class TestBatchSolver:
         assert "held_karp" in report.engine_seconds
 
     def test_second_batch_hits_warm_cache(self):
-        cache = ResultCache()
-        solver = BatchSolver(cache=cache, workers=1)
+        svc = LabelingService()
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=1)
-        solver.solve_batch([SolveRequest(g, L21, engine="held_karp")])
-        results, report = solver.solve_batch(
+        svc.submit_many([SolveRequest(g, L21, engine="held_karp")])
+        results, report = svc.submit_many(
             [SolveRequest(random_relabel(g, 9), L21, engine="held_karp")]
         )
         assert results[0].cached
         assert report.cache_hits == 1 and report.solved == 0
 
     def test_engine_is_part_of_the_key(self):
-        cache = ResultCache()
-        solver = BatchSolver(cache=cache, workers=1)
+        svc = LabelingService()
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=2)
-        solver.solve_batch([SolveRequest(g, L21, engine="held_karp")])
-        results, report = solver.solve_batch(
+        svc.submit_many([SolveRequest(g, L21, engine="held_karp")])
+        results, report = svc.submit_many(
             [SolveRequest(g, L21, engine="two_opt")]
         )
         assert not results[0].cached          # different engine, fresh solve
         assert results[0].engine == "two_opt"
 
     def test_spec_is_part_of_the_key(self):
-        solver = BatchSolver(cache=ResultCache(), workers=1)
+        svc = LabelingService()
         g = gen.cycle_graph(5)
-        _, first = solver.solve_batch([SolveRequest(g, L21)])
-        _, second = solver.solve_batch([SolveRequest(g, L11)])
+        _, first = svc.submit_many([SolveRequest(g, L21)])
+        _, second = svc.submit_many([SolveRequest(g, L11)])
         assert first.solved == 1 and second.solved == 1
 
-    def test_no_cache_baseline_solves_owners_only_once(self):
-        # cache=None disables memoization across batches but duplicates
-        # within a batch still collapse onto their owner's solve
-        solver = BatchSolver(cache=None, workers=1)
-        g = gen.random_graph_with_diameter_at_most(9, 2, seed=3)
-        reqs = duplicate_stream([g], copies=2)
-        results, report = solver.solve_batch(reqs)
-        assert report.solved == 1
-        for req, res in zip(reqs, results):
-            assert res.labeling.is_feasible(req.graph, L21)
-        # and a second identical batch re-solves (nothing was remembered)
-        _, again = solver.solve_batch(reqs)
-        assert again.solved == 1 and again.cache_hits == 0
-
-    def test_small_large_sharding_both_paths(self):
-        # small_n=10 forces the 12-vertex graph onto the one-per-worker path
-        solver = BatchSolver(cache=ResultCache(), workers=2, small_n=10)
-        reqs = [
-            SolveRequest(
-                gen.random_graph_with_diameter_at_most(8, 2, seed=1),
-                L21, engine="held_karp",
-            ),
-            SolveRequest(
-                gen.random_graph_with_diameter_at_most(12, 2, seed=2),
-                L21, engine="held_karp",
-            ),
-        ]
-        results, report = solver.solve_batch(reqs)
-        assert report.solved == 2
-        for req, res in zip(reqs, results):
-            assert res.labeling.is_feasible(req.graph, L21)
-
     def test_empty_batch(self):
-        results, report = BatchSolver(cache=ResultCache()).solve_batch([])
+        results, report = LabelingService().submit_many([])
         assert results == [] and report.total == 0
         assert report.hit_rate == 0.0
 
 
 class TestLabelingService:
     def test_submit_and_stats(self):
-        svc = LabelingService(workers=1)
+        svc = LabelingService()
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=6)
-        first = svc.submit(g, L21, engine="held_karp")
-        second = svc.submit(random_relabel(g, 1), L21, engine="held_karp")
+        first = svc.submit(SolveRequest(g, L21, engine="held_karp"))
+        second = svc.submit(
+            SolveRequest(random_relabel(g, 1), L21, engine="held_karp")
+        )
         assert not first.cached and second.cached
         assert first.span == second.span
         stats = svc.stats()
@@ -152,16 +119,20 @@ class TestLabelingService:
     def test_cache_persistence_across_services(self, tmp_path):
         path = tmp_path / "service-cache.json"
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=8)
-        warm = LabelingService(cache_path=path, workers=1)
-        warm.submit(g, L21, engine="held_karp")
+        warm = LabelingService(cache_path=path)
+        warm.submit(SolveRequest(g, L21, engine="held_karp"))
         warm.save_cache()
-        cold = LabelingService(cache_path=path, workers=1)
-        assert cold.submit(random_relabel(g, 2), L21, engine="held_karp").cached
+        cold = LabelingService(cache_path=path)
+        assert cold.submit(
+            SolveRequest(random_relabel(g, 2), L21, engine="held_karp")
+        ).cached
 
     def test_solve_record_shapes_match(self):
         g = gen.cycle_graph(5)
         direct = solve_labeling(g, L21, engine="held_karp")
-        service = LabelingService(workers=1).submit(g, L21, engine="held_karp")
+        service = LabelingService().submit(
+            SolveRequest(g, L21, engine="held_karp")
+        )
         a = solve_record(direct, graph=g, spec=L21, include_labels=True)
         b = solve_record(service, graph=g, spec=L21, include_labels=True)
         assert set(a) == set(b)
@@ -172,7 +143,7 @@ class TestLabelingService:
 
 class TestSessionServiceIntegration:
     def test_session_routes_through_shared_service(self):
-        svc = LabelingService(workers=1)
+        svc = LabelingService()
         g = gen.cycle_graph(5)
         s = LabelingSession(g, L21, engine="held_karp", service=svc)
         assert s.span == 4
@@ -186,7 +157,7 @@ class TestSessionServiceIntegration:
         assert s2.current.cached
 
     def test_mutate_and_revert_gets_warm_hit(self):
-        svc = LabelingService(workers=1)
+        svc = LabelingService()
         s = LabelingSession(gen.cycle_graph(5), L21, engine="held_karp",
                             service=svc)
         s.add_edge(0, 2)
@@ -196,7 +167,7 @@ class TestSessionServiceIntegration:
         assert s.labeling.is_feasible(s.graph, L21)
 
     def test_session_history_spans_consistent(self):
-        svc = LabelingService(workers=1)
+        svc = LabelingService()
         s = LabelingSession(gen.complete_graph(3), L21, engine="held_karp",
                             service=svc)
         v = s.add_vertex(connect_to=[0, 1, 2])

@@ -1,11 +1,12 @@
-"""LRU result cache: stats, eviction, persistence, thread safety."""
+"""LRU result cache (single shard): stats, eviction, persistence, threads."""
 
 import threading
 
 import pytest
 
 from repro.errors import ReproError
-from repro.service.cache import CachedSolve, CacheStats, ResultCache
+from repro.service.cache import CachedSolve, CacheStats
+from repro.service.shard import ShardedResultCache
 
 
 def entry(span: int) -> CachedSolve:
@@ -14,7 +15,7 @@ def entry(span: int) -> CachedSolve:
 
 class TestLruBehavior:
     def test_hit_miss_counting(self):
-        c = ResultCache(capacity=4)
+        c = ShardedResultCache(shards=1, capacity=4)
         assert c.get("a") is None
         c.put("a", entry(2))
         assert c.get("a").span == 2
@@ -22,7 +23,7 @@ class TestLruBehavior:
         assert c.stats.hit_rate == 0.5
 
     def test_eviction_is_lru(self):
-        c = ResultCache(capacity=2)
+        c = ShardedResultCache(shards=1, capacity=2)
         c.put("a", entry(1))
         c.put("b", entry(2))
         c.get("a")                      # refresh a; b is now LRU
@@ -31,7 +32,7 @@ class TestLruBehavior:
         assert c.stats.evictions == 1
 
     def test_put_refreshes_recency(self):
-        c = ResultCache(capacity=2)
+        c = ShardedResultCache(shards=1, capacity=2)
         c.put("a", entry(1))
         c.put("b", entry(2))
         c.put("a", entry(9))            # re-put refreshes, evicting b next
@@ -40,7 +41,7 @@ class TestLruBehavior:
         assert c.peek("a").span == 9
 
     def test_peek_does_not_count(self):
-        c = ResultCache(capacity=2)
+        c = ShardedResultCache(shards=1, capacity=2)
         c.put("a", entry(1))
         c.peek("a")
         c.peek("zzz")
@@ -48,10 +49,10 @@ class TestLruBehavior:
 
     def test_capacity_validation(self):
         with pytest.raises(ReproError):
-            ResultCache(capacity=0)
+            ShardedResultCache(shards=1, capacity=0)
 
     def test_len_and_clear(self):
-        c = ResultCache(capacity=8)
+        c = ShardedResultCache(shards=1, capacity=8)
         for i in range(5):
             c.put(str(i), entry(i))
         assert len(c) == 5
@@ -62,54 +63,54 @@ class TestLruBehavior:
 class TestPersistence:
     def test_save_load_roundtrip(self, tmp_path):
         path = tmp_path / "cache.json"
-        c = ResultCache(capacity=8, path=path)
+        c = ShardedResultCache(shards=1, capacity=8, path=path)
         c.put("k1", CachedSolve((0, 2, 4), 4, "held_karp", True))
         c.put("k2", entry(7))
         c.save()
-        warm = ResultCache(capacity=8, path=path)
+        warm = ShardedResultCache(shards=1, capacity=8, path=path)
         assert len(warm) == 2
         got = warm.peek("k1")
         assert got == CachedSolve((0, 2, 4), 4, "held_karp", True)
 
     def test_save_requires_path(self):
         with pytest.raises(ReproError):
-            ResultCache().save()
+            ShardedResultCache(shards=1).save()
 
     def test_load_respects_capacity(self, tmp_path):
         path = tmp_path / "cache.json"
-        big = ResultCache(capacity=16, path=path)
+        big = ShardedResultCache(shards=1, capacity=16, path=path)
         for i in range(10):
             big.put(f"k{i}", entry(i))
         big.save()
-        small = ResultCache(capacity=3, path=path)
+        small = ShardedResultCache(shards=1, capacity=3, path=path)
         assert len(small) == 3
 
     def test_unknown_version_starts_cold(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text('{"version": 999, "entries": {"x": {}}}')
-        c = ResultCache(capacity=4, path=path)
+        c = ShardedResultCache(shards=1, capacity=4, path=path)
         assert len(c) == 0
 
     def test_corrupt_file_raises(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text("not json{")
         with pytest.raises(ReproError):
-            ResultCache(capacity=4, path=path)
+            ShardedResultCache(shards=1, capacity=4, path=path)
 
     def test_malformed_entries_raise(self, tmp_path):
         path = tmp_path / "cache.json"
         path.write_text('{"version": 1, "entries": {"k": {}}}')
         with pytest.raises(ReproError):
-            ResultCache(capacity=4, path=path)
+            ShardedResultCache(shards=1, capacity=4, path=path)
 
     def test_missing_path_starts_cold(self, tmp_path):
-        c = ResultCache(capacity=4, path=tmp_path / "absent.json")
+        c = ShardedResultCache(shards=1, capacity=4, path=tmp_path / "absent.json")
         assert len(c) == 0
 
 
 class TestThreadSafety:
     def test_concurrent_mixed_operations(self):
-        c = ResultCache(capacity=64)
+        c = ShardedResultCache(shards=1, capacity=64)
         errors = []
 
         def worker(base: int) -> None:

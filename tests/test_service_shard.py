@@ -1,12 +1,17 @@
 """Tests for the sharded result cache (`repro.service.shard`)."""
 
+import json
 import threading
+from pathlib import Path
 
 import pytest
 
 from repro.errors import ReproError
-from repro.service.cache import CachedSolve, ResultCache
+from repro.service.cache import CachedSolve
 from repro.service.shard import ShardedResultCache, _ContentionLock
+
+#: A version-1 cache file written by the former single-lock cache class.
+V1_FIXTURE = Path(__file__).parent / "data" / "cache_v1.json"
 
 
 def entry(span: int = 2) -> CachedSolve:
@@ -85,22 +90,32 @@ def test_clear_keeps_lifetime_stats():
     assert c.stats.puts == 1 and c.stats.hits == 1 and c.stats.misses == 1
 
 
-def test_persistence_interop_with_single_lock_cache(tmp_path):
-    # single-lock -> sharded
-    plain = ResultCache(capacity=32, path=tmp_path / "plain.json")
+@pytest.mark.parametrize("capacity,shards", [(10, 4), (100, 16)])
+def test_overfilled_cache_holds_exactly_capacity(capacity, shards):
+    c = ShardedResultCache(capacity=capacity, shards=shards)
+    for i in range(50 * capacity):
+        c.put(f"key-{i}", entry(i))
+    assert len(c) == capacity
+    assert c.stats.evictions == 50 * capacity - capacity
+
+
+def test_loads_v1_file_written_by_single_lock_cache():
+    raw = json.loads(V1_FIXTURE.read_text())["entries"]
+    for shards in (1, 4, 16):
+        c = ShardedResultCache(shards=shards, path=V1_FIXTURE)
+        assert len(c) == len(raw)
+        for key, data in raw.items():
+            assert c.peek(key) == CachedSolve.from_json(data)
+
+
+def test_save_load_roundtrip_across_shard_counts(tmp_path):
+    four = ShardedResultCache(capacity=32, shards=4)
     for i in range(10):
-        plain.put(f"k{i}", entry(i))
-    plain.save()
-    sharded = ShardedResultCache(
-        capacity=32, shards=4, path=tmp_path / "plain.json"
-    )
-    assert len(sharded) == 10
-    assert sharded.peek("k3").span == 3
-    # sharded -> single-lock
-    out = sharded.save(tmp_path / "sharded.json")
-    warm = ResultCache(capacity=32, path=out)
-    assert len(warm) == 10
-    assert warm.peek("k7").span == 7
+        four.put(f"k{i}", entry(i))
+    out = four.save(tmp_path / "four.json")
+    one = ShardedResultCache(capacity=32, shards=1, path=out)
+    assert len(one) == 10
+    assert one.peek("k7").span == 7
 
 
 def test_save_requires_path():

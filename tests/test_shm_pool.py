@@ -32,6 +32,7 @@ from repro.parallel.shm_pool import (
     _views,
 )
 from repro.reduction.solver import solve_labeling
+from repro.service.protocol import SolveRequest
 
 from repro.parallel.shm_pool import live_segment_names as repro_shm_segments
 
@@ -303,9 +304,9 @@ class TestServerIntegration:
         inline = solve_labeling(graph, LpSpec(SPEC), engine=ENGINE)
         with ConcurrentLabelingService(workers=2, offload=True) as server:
             server.prewarm()
-            result = server.submit(graph, LpSpec(SPEC), engine=ENGINE).result(
-                timeout=60
-            )
+            result = server.submit(
+                SolveRequest(graph, LpSpec(SPEC), engine=ENGINE)
+            ).result(timeout=60)
             assert result.span == inline.span
         assert not [
             s for s in repro_shm_segments()
@@ -321,15 +322,15 @@ class TestServerIntegration:
         before = REGISTRY.value("repro_shm_bytes_published_total")
         with ConcurrentLabelingService(workers=2, offload=True) as server:
             server.prewarm()
-            base = server.submit(graph, LpSpec(SPEC), engine=ENGINE).result(
-                timeout=60
-            )
+            base = server.submit(
+                SolveRequest(graph, LpSpec(SPEC), engine=ENGINE)
+            ).result(timeout=60)
             # isomorphic repeats: canonical key identical -> cache hits,
             # no new segment; a *forced* cold re-solve of a permuted copy
             # would also reuse the published segment via the arena lease
             permuted = relabel(graph, list(reversed(range(graph.n))))
             again = server.submit(
-                permuted, LpSpec(SPEC), engine=ENGINE
+                SolveRequest(permuted, LpSpec(SPEC), engine=ENGINE)
             ).result(timeout=60)
             assert again.span == base.span
         published = REGISTRY.value("repro_shm_bytes_published_total") - before
