@@ -114,7 +114,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     """``batch``: solve many graphs through the concurrent service (JSON lines).
 
     A directory source (or ``-`` without ``--stream``) is read whole and
-    its records print in input order.  ``--stream`` serves the stdin
+    its records print in input order, every one on the exact tier.
+    ``--stream`` serves the stdin
     stream as it is read — the bounded queue applies backpressure to the
     read loop — and prints each record *in completion order*, so a slow
     cold solve never holds up the cache hits behind it.  Both modes end
@@ -140,11 +141,15 @@ def _cmd_batch(args: argparse.Namespace) -> int:
         cache_path=args.cache,
     )
 
+    # A directory batch is a reproducible job: every record is exact, as
+    # under the serial service.  Only --stream leaves ``auto`` to the router.
+    tier = "auto" if args.stream else "exact"
+
     def _submit(tag, graph):
         """Enqueue one graph; returns its future."""
-        return server.submit(
-            SolveRequest(graph=graph, spec=spec, engine=args.engine, tag=tag)
-        )
+        return server.submit(SolveRequest(
+            graph=graph, spec=spec, engine=args.engine, tag=tag, tier=tier
+        ))
 
     def _record(tag, graph, result) -> str:
         """One NDJSON output line."""

@@ -16,7 +16,13 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class CachedSolve:
-    """One memoized solve, in canonical vertex coordinates."""
+    """One memoized solve, in canonical vertex coordinates.
+
+    >>> entry = CachedSolve(labels=(0, 2, 4), span=4, engine="held_karp",
+    ...                     exact=True)
+    >>> CachedSolve.from_json(entry.to_json()) == entry
+    True
+    """
 
     labels: tuple[int, ...]      # canonical-coordinate labeling
     span: int
@@ -55,7 +61,12 @@ class CachedSolve:
 
 @dataclass
 class CacheStats:
-    """Counters for one cache's lifetime (monotone, never reset by eviction)."""
+    """Counters for one cache's lifetime (monotone, never reset by eviction).
+
+    >>> stats = CacheStats(hits=3, misses=1)
+    >>> stats.lookups, stats.hit_rate
+    (4, 0.75)
+    """
 
     hits: int = 0
     misses: int = 0

@@ -123,23 +123,27 @@ class _CacheShard:
         with self._lock:
             return self._entries.get(key)
 
-    def put(self, key: str, value: CachedSolve, count: bool = True) -> None:
-        """Insert (or refresh) an entry, evicting the LRU tail if full.
-
-        ``count=False`` (loading a file) skips the ``puts`` counters;
-        evictions always count.
-        """
+    def put(self, key: str, value: CachedSolve) -> None:
+        """Insert (or refresh) an entry, evicting the LRU tail if full."""
         with self._lock:
-            if key in self._entries:
-                self._entries.move_to_end(key)
-            self._entries[key] = value
-            if count:
-                self.stats.puts += 1
-                _M_PUTS.inc()
-            while len(self._entries) > self.capacity:
-                self._entries.popitem(last=False)
-                self.stats.evictions += 1
-                _M_EVICTIONS.inc()
+            self.stats.puts += 1
+            _M_PUTS.inc()
+            self._insert(key, value)
+
+    def _load(self, key: str, value: CachedSolve) -> None:
+        """Insert an entry read from a file: a put that counts no put."""
+        with self._lock:
+            self._insert(key, value)
+
+    def _insert(self, key: str, value: CachedSolve) -> None:
+        """Insert and evict the LRU overflow; the caller holds the lock."""
+        if key in self._entries:
+            self._entries.move_to_end(key)
+        self._entries[key] = value
+        while len(self._entries) > self.capacity:
+            self._entries.popitem(last=False)
+            self.stats.evictions += 1
+            _M_EVICTIONS.inc()
 
     def items(self) -> list[tuple[str, CachedSolve]]:
         """A snapshot of the live entries, LRU first."""
@@ -337,5 +341,5 @@ class ShardedResultCache:
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"malformed cache file {source}: {exc!r}") from exc
         for k, entry in decoded.items():
-            self._shard_for(k).put(k, entry, count=False)
+            self._shard_for(k)._load(k, entry)
         return len(entries)

@@ -224,6 +224,28 @@ class TestCli:
             assert records[4]["cached"] is True
         assert [r["span"] for r in runs["2"]] == [r["span"] for r in runs["1"]]
 
+    def test_batch_directory_is_never_routed_to_approx(self, tmp_path, capfd):
+        # Both of the router's auto -> approx triggers: a graph with
+        # n > 256, and submissions past half of a tiny queue.  A directory
+        # batch must still answer every file on the requested engine.
+        import json
+        from repro.graphs import io as gio
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        gio.write_edge_list(gen.star_graph(299), gdir / "a_big.edges")
+        for seed in range(8):
+            g = gen.random_graph_with_diameter_at_most(9, 2, seed=seed)
+            gio.write_edge_list(g, gdir / f"g{seed}.edges")
+        code, out = self.run_cli(["batch", str(gdir), "--workers", "1",
+                                  "--queue-size", "2",
+                                  "--engine", "nearest_neighbor"])
+        assert code == 0
+        records = [json.loads(line) for line in out.splitlines()]
+        assert len(records) == 9
+        assert records[0]["n"] == 300
+        assert {r["engine"] for r in records} == {"nearest_neighbor"}
+        capfd.readouterr()
+
     def test_batch_cache_file_from_single_lock_cache(self, tmp_path):
         import json
         import shutil

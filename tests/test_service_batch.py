@@ -70,6 +70,27 @@ class TestBatchSolver:
         assert report.throughput > 0
         assert "held_karp" in report.engine_seconds
 
+    def test_duplicate_of_evicted_entry_uses_batch_answer(self):
+        # One-entry cache: g1's solve evicts g0 before g0's twin arrives,
+        # so the twin is answered from the batch's own result.
+        g0, g1 = (
+            gen.random_graph_with_diameter_at_most(9, 2, seed=s)
+            for s in (5, 6)
+        )
+        reqs = [
+            SolveRequest(g, L21, engine="held_karp")
+            for g in (g0, g1, random_relabel(g0, 1), random_relabel(g1, 2))
+        ]
+        svc = LabelingService(cache_capacity=1)
+        results, report = svc.submit_many(reqs)
+        assert len(svc.cache) == 1
+        assert report.solved == 2
+        assert report.deduped == 2
+        assert report.cache_hits == 0
+        assert [r.cached for r in results] == [False, False, True, True]
+        for req, res in zip(reqs, results):
+            assert res.labeling.require_feasible(req.graph, req.spec)
+
     def test_second_batch_hits_warm_cache(self):
         svc = LabelingService()
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=1)
