@@ -160,19 +160,18 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "repro_pool_worker_restarts_total": (
         COUNTER,
-        "Pool worker processes that died and were respawned; every "
-        "in-flight job on the dead worker failed with WorkerCrashedError.",
+        "Pool worker processes that died and were respawned; a call "
+        "in flight on the dead worker failed with WorkerCrashedError.",
     ),
     "repro_pool_dispatch_total": (
         COUNTER,
-        "Jobs dispatched to persistent pool workers, by worker index "
-        "(label: worker).  The canonical-key router decides the shard.",
+        "Calls dispatched to persistent pool workers, by worker index "
+        "(label: worker).  Each call takes the longest-idle worker.",
     ),
     "repro_pool_route_imbalance": (
         GAUGE,
         "Max-over-mean dispatch count across the most recently built "
-        "pool's workers (1.0 = perfectly balanced routing; the price of "
-        "key-affinity routing shows up here, not in lost cache warmth).",
+        "pool's workers (1.0 = perfectly balanced dispatch).",
     ),
     # ---- QoS router + approx tier --------------------------------------
     "repro_router_requests_total": (

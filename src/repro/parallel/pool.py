@@ -38,15 +38,6 @@ def default_workers() -> int:
     return max(1, effective_cpu_count() - 1)
 
 
-def runs_serially(workers: int | None, item_count: int) -> bool:
-    """True when :func:`parallel_map` would bypass the pool for this call.
-
-    Exposed so callers with a cheaper serial code path (e.g. the batch
-    solver's oracle-seeded inline solve) can apply the exact same policy.
-    """
-    return (workers or default_workers()) <= 1 or item_count <= 1
-
-
 def chunked(items: Sequence[T], size: int) -> Iterator[Sequence[T]]:
     """Yield successive chunks of ``size`` items (last may be short)."""
     if size < 1:
@@ -68,7 +59,8 @@ def parallel_map(
     start-up latency in the degenerate cases).
     """
     items = list(items)
-    if runs_serially(workers, len(items)):
+    workers = workers or default_workers()
+    if workers <= 1 or len(items) <= 1:
         return [fn(x) for x in items]
-    with ProcessPoolExecutor(max_workers=workers or default_workers()) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items, chunksize=chunksize))

@@ -1,8 +1,7 @@
 """Persistent shared-memory worker pool for the serving path.
 
-The old offload design (``ProcessPoolExecutor`` per server) pickled every
-cold solve's whole instance — graph, CSR adjacency, distance matrix — per
-request.  This module replaces it with two cooperating pieces:
+Cold solves cross the process boundary without pickling the graph, via
+two cooperating pieces:
 
 - :class:`ShmArena` — a parent-side registry that publishes a canonical
   graph's heavy arrays (distance matrix + CSR adjacency, see
@@ -12,22 +11,19 @@ request.  This module replaces it with two cooperating pieces:
   zero refs past capacity, and unlinked deterministically on
   :meth:`~ShmArena.close` — with an atexit sweep as the backstop, so
   segments never outlive the process.
-- :class:`ShmWorkerPool` — long-lived worker processes fed over pipes.
-  Requests cross the boundary as ``(key, params)`` tuples plus a tiny
-  picklable :class:`ShmDescriptor`; workers reconstruct the canonical
-  graph as **zero-copy numpy views** into the segment
-  (:func:`repro.graphs.analysis.adopt_buffers`) and keep a small LRU of
-  adopted graphs, so a shard of the stream amortizes one attachment.  A
-  batch-aware router pins repeat keys to their worker (cache warmth) and
-  spreads fresh keys to the least-loaded worker.  A worker that dies
-  mid-solve fails its in-flight futures with
-  :class:`~repro.errors.WorkerCrashedError`, is respawned, and is counted
-  in ``repro_pool_worker_restarts_total`` — callers never hang.
+- :class:`ShmWorkerPool` — long-lived worker processes behind one
+  blocking call.  :meth:`~ShmWorkerPool.solve` checks out an idle worker,
+  sends it a tiny picklable :class:`ShmDescriptor` plus a ``(key, p,
+  engine)`` tuple, and reads the reply on the caller's thread.  Workers
+  reconstruct the canonical graph as **zero-copy numpy views** into the
+  segment (:func:`repro.graphs.analysis.adopt_buffers`) and keep a small
+  LRU of adopted graphs.  A worker that dies mid-call makes that call
+  raise :class:`~repro.errors.WorkerCrashedError`, is respawned, and is
+  counted in ``repro_pool_worker_restarts_total`` — callers never hang.
 
-Trace spans propagate exactly like the old offload path: the worker runs
-each solve under a ``solve.offload`` span parented to the submitted
-context and ships its drained span rows back for the parent tracer to
-ingest.
+Trace spans propagate across the boundary: the worker runs each solve
+under a ``solve.offload`` span parented to the caller's active context
+and ships its drained span rows back for the parent tracer to ingest.
 """
 
 from __future__ import annotations
@@ -39,7 +35,7 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import Future
+from collections import deque
 from dataclasses import dataclass
 from multiprocessing import get_context
 from multiprocessing.shared_memory import SharedMemory
@@ -48,6 +44,7 @@ import numpy as np
 
 from repro.errors import ReproError, WorkerCrashedError
 from repro.obs.metrics import REGISTRY
+from repro.obs.trace import TRACER, SpanContext
 
 #: Prefix of every segment this module creates; the tests' zero-leak
 #: fixture (and the /dev/shm lifecycle assertions) key off it.
@@ -184,11 +181,6 @@ class ShmArena:
         """Segments currently owned (published and not yet unlinked)."""
         return len(self._entries)
 
-    @property
-    def closed(self) -> bool:
-        """True once :meth:`close` ran; a closed arena rejects publishes."""
-        return self._closed
-
     # ------------------------------------------------------------------
     def lease(self, key: str) -> ShmDescriptor | None:
         """Bump the refcount and return the descriptor, or ``None`` if absent."""
@@ -267,12 +259,6 @@ class ShmArena:
                 break  # everything leased: over-capacity beats corruption
             evicted.append(self._entries.pop(idle))
         return evicted
-
-    def descriptor(self, key: str) -> ShmDescriptor | None:
-        """The published descriptor for ``key`` without taking a lease."""
-        with self._lock:
-            entry = self._entries.get(key)
-            return entry.descriptor if entry is not None else None
 
     def close(self) -> None:
         """Unlink every segment.  Idempotent; double-close is a no-op."""
@@ -418,14 +404,12 @@ def _probe_adopted(
 def _worker_main(conn, max_cached: int) -> None:
     """Worker-process loop: adopt, solve, reply — until the stop sentinel.
 
-    Messages in: ``("job", id, descriptor, (key, p, engine), ctx_row)``,
-    ``("probe", id, descriptor)``, or ``None`` (clean shutdown).  Messages
-    out: ``("ready", pid)`` once, then ``("result", id, ok, payload,
-    spans)`` per job.  Failures are shipped back as exception objects;
-    the parent re-raises them into the job's future.
+    Messages in: ``("job", descriptor, (key, p, engine), ctx_row)``,
+    ``("probe", descriptor)``, or ``None`` (clean shutdown).  Messages out:
+    ``("ready", pid)`` once, then ``("result", ok, payload, spans)`` per
+    message.  Failures are shipped back as exception objects; the parent
+    re-raises them in the caller.
     """
-    from repro.obs.trace import TRACER, SpanContext
-
     TRACER.drain()  # a fork-inherited buffer must not replay parent spans
     cache: dict[str, tuple[SharedMemory, object]] = {}
     try:
@@ -437,13 +421,12 @@ def _worker_main(conn, max_cached: int) -> None:
                 return
             if msg is None:
                 return
-            kind, job_id = msg[0], msg[1]
             spans: tuple = ()
             try:
-                if kind == "probe":
-                    payload = _probe_adopted(cache, max_cached, msg[2])
+                if msg[0] == "probe":
+                    payload = _probe_adopted(cache, max_cached, msg[1])
                 else:
-                    _, _, descriptor, job, ctx_row = msg
+                    _, descriptor, job, ctx_row = msg
                     if ctx_row is None:
                         payload = _solve_adopted(
                             cache, max_cached, descriptor, job
@@ -457,9 +440,9 @@ def _worker_main(conn, max_cached: int) -> None:
                                     cache, max_cached, descriptor, job
                                 )
                         spans = tuple(s.to_json() for s in TRACER.drain())
-                out = ("result", job_id, True, payload, spans)
+                out = ("result", True, payload, spans)
             except BaseException as exc:
-                out = ("result", job_id, False, _portable(exc), ())
+                out = ("result", False, _portable(exc), ())
             try:
                 conn.send(out)
             except (BrokenPipeError, OSError):
@@ -488,338 +471,284 @@ def _portable(exc: BaseException) -> BaseException:
 # ---------------------------------------------------------------------------
 # parent side: the pool
 # ---------------------------------------------------------------------------
-class _WorkerHandle:
-    """Parent-side state for one worker: process, pipe, and in-flight jobs."""
+#: Consecutive deaths before the ready handshake that retire a worker slot.
+_MAX_EARLY_DEATHS = 3
 
-    __slots__ = ("proc", "conn", "send_lock", "pending", "ready", "dead")
+
+class _Worker:
+    """Parent-side state for one worker process: its pipe and handshake."""
+
+    __slots__ = ("proc", "conn", "ready")
 
     def __init__(self, proc, conn) -> None:
         self.proc = proc
         self.conn = conn
-        self.send_lock = threading.Lock()
-        self.pending: dict[int, Future] = {}
-        self.ready = threading.Event()
-        self.dead = False
+        #: True once the ``("ready", pid)`` handshake was read off the pipe.
+        self.ready = False
+
+    def stop(self) -> None:
+        """Send the stop sentinel and drop the parent's end of the pipe."""
+        try:
+            self.conn.send(None)
+        except (OSError, ValueError):
+            pass
+        self.conn.close()
 
 
 class ShmWorkerPool:
-    """Persistent worker processes fed descriptors + small job tuples.
+    """Persistent worker processes, each serving one blocking call at a time.
+
+    A call takes the longest-idle worker (a FIFO of slot indices), sends it
+    ``(descriptor, job)`` and reads the reply on the calling thread; with
+    every worker busy, callers wait for one to come back.  The pool starts
+    no thread of its own.
 
     Parameters
     ----------
     workers:
-        Worker-process count (also the handler-thread count — one parent
-        thread drains each worker's pipe, which is what turns a dead
-        worker's ``EOF`` into prompt :class:`WorkerCrashedError` failures
-        instead of hung callers).
+        Worker-process count, i.e. how many calls run at once.
     start_method:
         ``"fork"`` / ``"spawn"`` / ``"forkserver"``; ``None`` uses the
         platform default.  Both fork and spawn are exercised in the tests.
-    graph_cache:
-        Per-worker adopted-graph LRU size.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        start_method: str | None = None,
-        graph_cache: int = DEFAULT_GRAPH_CACHE,
-    ) -> None:
-        """Spawn the workers and their pipe-handler threads."""
+    def __init__(self, workers: int, start_method: str | None = None) -> None:
+        """Start the worker processes."""
         if workers < 1:
             raise ReproError(f"workers must be >= 1, got {workers}")
         self.workers = workers
-        self.graph_cache = graph_cache
         self._ctx = get_context(start_method)
-        self._lock = threading.Lock()
-        self._seq = itertools.count()
+        self._cond = threading.Condition()
         self._closing = False
         self._restarts = 0
         #: Consecutive deaths-before-ready per slot: a worker that cannot
         #: even start (broken environment, import failure) must not be
-        #: respawned in an unbounded tight loop — past the cap the slot is
-        #: retired and its jobs fail fast instead.
+        #: respawned forever — at the cap the slot is retired.
         self._early_deaths = [0] * workers
         self._dispatched = [0] * workers
-        #: canonical key -> worker index (LRU-bounded): repeat keys stick
-        #: to their worker's warm cache, fresh keys go to the least loaded.
-        self._route: dict[str, int] = {}
-        self._route_cap = 4096
         self._m_dispatch = [
             _M_DISPATCH.labels(worker=str(i)) for i in range(workers)
         ]
         _M_IMBALANCE.set_function(
             lambda pool: pool.route_imbalance(), owner=self
         )
-        self._handles: list[_WorkerHandle] = [
-            self._spawn() for _ in range(workers)
-        ]
-        self._threads = [
-            threading.Thread(
-                target=self._handler,
-                args=(i,),
-                name=f"shm-pool-handler-{i}",
-                daemon=True,
-            )
-            for i in range(workers)
-        ]
-        for t in self._threads:
-            t.start()
+        self._slots = [self._spawn() for _ in range(workers)]
+        #: Idle slot indices, longest-idle first.
+        self._idle = deque(range(workers))
 
-    def _spawn(self) -> _WorkerHandle:
-        """Start one worker process and return its fresh handle."""
+    def _spawn(self) -> _Worker:
+        """Start one worker process (callers serialize forks on the lock)."""
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(
             target=_worker_main,
-            args=(child_conn, self.graph_cache),
+            args=(child_conn, DEFAULT_GRAPH_CACHE),
             daemon=True,
             name="shm-pool-worker",
         )
         proc.start()
         child_conn.close()  # the parent keeps only its own end
-        return _WorkerHandle(proc, parent_conn)
+        return _Worker(proc, parent_conn)
 
     # ------------------------------------------------------------------
     def wait_ready(self, timeout: float | None = 30.0) -> None:
-        """Block until every worker sent its ready handshake.
+        """Block until every idle worker sent its ready handshake.
 
         Benchmarks call this before timing so interpreter start-up (spawn
         imports numpy per worker) never pollutes a measured serve.
         """
         deadline = None if timeout is None else time.monotonic() + timeout
-        for handle in list(self._handles):
-            remaining = (
-                None if deadline is None else max(0.0, deadline - time.monotonic())
-            )
-            if not handle.ready.wait(remaining):
-                raise ReproError("pool workers not ready before timeout")
+        with self._cond:
+            slots = list(self._idle)
+            self._idle.clear()
+        try:
+            for slot in slots:
+                self._usable(slot, deadline)
+        finally:
+            for slot in slots:
+                self._checkin(slot)
 
     def worker_pids(self) -> list[int]:
-        """Live worker PIDs, in worker order (crash tests kill these)."""
-        with self._lock:
-            return [h.proc.pid for h in self._handles]
+        """Worker PIDs, in slot order (crash tests kill these)."""
+        with self._cond:
+            return [w.proc.pid for w in self._slots]
 
     @property
     def restart_count(self) -> int:
         """Workers respawned after dying (mirrors the restarts counter)."""
-        with self._lock:
+        with self._cond:
             return self._restarts
 
     def dispatch_counts(self) -> list[int]:
-        """Jobs dispatched per worker index over the pool's lifetime."""
-        with self._lock:
+        """Calls dispatched per worker slot over the pool's lifetime."""
+        with self._cond:
             return list(self._dispatched)
 
     def route_imbalance(self) -> float:
         """Max-over-mean dispatch count (1.0 = perfectly balanced)."""
-        with self._lock:
+        with self._cond:
             total = sum(self._dispatched)
             if not total:
                 return 1.0
-            mean = total / len(self._dispatched)
-            return max(self._dispatched) / mean
+            return max(self._dispatched) / (total / self.workers)
 
     # ------------------------------------------------------------------
-    def submit(
-        self,
-        descriptor: ShmDescriptor,
-        job: tuple,
-        ctx_row: dict | None = None,
-    ) -> Future:
-        """Dispatch one ``(key, p, engine)`` job; returns its future.
+    def solve(self, descriptor: ShmDescriptor, job: tuple) -> tuple:
+        """Solve one ``(key, p, engine)`` job on a worker; blocks for it.
 
-        Routed by the descriptor's canonical key: a key seen before goes
-        back to its worker (whose adopted-graph cache is warm), a fresh
-        key to the worker with the fewest jobs in flight.  The future
-        resolves to the worker's ``(key, labels, span, engine, exact,
+        Returns the worker's ``(key, labels, span, engine, exact,
         seconds)`` tuple, or raises what the solve raised —
         :class:`WorkerCrashedError` when the worker died instead of
-        answering.
+        answering.  The worker's ``solve.offload`` span parents under the
+        caller's active trace context.
         """
-        return self._dispatch(("job", descriptor, job, ctx_row), descriptor.key)
+        ctx = TRACER.current_context()
+        ctx_row = (
+            None if ctx is None
+            else {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
+        )
+        return self._call(("job", descriptor, job, ctx_row))
 
-    def probe(self, descriptor: ShmDescriptor) -> Future:
-        """Dispatch a zero-copy diagnostic for ``descriptor`` (see tests)."""
-        return self._dispatch(("probe", descriptor), descriptor.key)
+    def probe(self, descriptor: ShmDescriptor) -> dict:
+        """Run the zero-copy diagnostic for ``descriptor`` (see tests)."""
+        return self._call(("probe", descriptor))
 
-    def _dispatch(self, message: tuple, key: str) -> Future:
-        """Route, register and send one message; returns its future."""
-        future: Future = Future()
-        with self._lock:
-            if self._closing:
-                raise ReproError("pool is shut down; no new jobs")
-            live = [
-                i for i in range(self.workers) if not self._handles[i].dead
-            ]
-            if not live:
-                raise WorkerCrashedError(
-                    "every pool worker died before becoming ready; "
-                    "the pool is broken"
-                )
-            index = self._route.get(key)
-            if index is None or self._handles[index].dead:
-                index = min(
-                    live,
-                    key=lambda i: (len(self._handles[i].pending),
-                                   self._dispatched[i]),
-                )
-            else:
-                self._route.pop(key)
-            self._route[key] = index
-            while len(self._route) > self._route_cap:
-                self._route.pop(next(iter(self._route)))
-            handle = self._handles[index]
-            job_id = next(self._seq)
-            handle.pending[job_id] = future
-            self._dispatched[index] += 1
-        self._m_dispatch[index].inc()
-        payload = (message[0], job_id, *message[1:])
+    def _call(self, message: tuple):
+        """Send ``message`` to an idle worker and return its reply payload."""
+        slot = self._checkout()
         try:
-            with handle.send_lock:
-                handle.conn.send(payload)
-        except (OSError, ValueError):
-            # the worker died between routing and send; its handler thread
-            # (or this sweep) fails the future — never both
-            self._settle(handle, job_id, WorkerCrashedError(
-                "pool worker died before accepting the job"
-            ))
-        return future
-
-    def _settle(self, handle: _WorkerHandle, job_id: int, exc: BaseException) -> None:
-        """Fail one pending job exactly once (crash paths can race)."""
-        with self._lock:
-            future = handle.pending.pop(job_id, None)
-        if future is not None:
-            future.set_exception(exc)
-
-    # ------------------------------------------------------------------
-    def _handler(self, index: int) -> None:
-        """Drain one worker's pipe; detect death, fail in-flight, respawn."""
-        from repro.obs.trace import TRACER
-
-        while True:
-            with self._lock:
-                handle = self._handles[index]
-                closing = self._closing
-            if closing:
-                return
+            worker = self._usable(slot)
+            with self._cond:
+                self._dispatched[slot] += 1
+            self._m_dispatch[slot].inc()
             try:
-                msg = handle.conn.recv()
+                worker.conn.send(message)
+                reply = worker.conn.recv()
             except (EOFError, OSError):
-                if not self._crashed(index, handle):
-                    return
-                continue
-            if msg[0] == "ready":
-                handle.ready.set()
-                continue
-            _, job_id, ok, payload, spans = msg
-            with self._lock:
-                future = handle.pending.pop(job_id, None)
-            if spans:
-                TRACER.ingest(list(spans))
-            if future is None:
-                continue  # settled by a crash sweep that raced the reply
-            if ok:
-                future.set_result(payload)
-            else:
-                future.set_exception(payload)
+                reply = None
+            except BaseException:
+                # interrupted: a late reply must never reach the next call
+                worker.proc.kill()
+                worker.proc.join()
+                raise
+            if reply is None:
+                self._replace(slot, worker)
+                raise WorkerCrashedError(
+                    f"pool worker {worker.proc.pid} died with the job in flight"
+                )
+        finally:
+            self._checkin(slot)
+        _, ok, payload, spans = reply
+        if spans:
+            TRACER.ingest(list(spans))
+        if not ok:
+            raise payload
+        return payload
 
-    def _crashed(self, index: int, handle: _WorkerHandle) -> bool:
-        """Handle one worker death: fail its jobs, respawn.  False = stop.
+    def _checkout(self) -> int:
+        """Take the longest-idle slot, waiting while every worker is busy."""
+        with self._cond:
+            while True:
+                if self._closing:
+                    raise ReproError("pool is shut down; no new jobs")
+                if self._idle:
+                    return self._idle.popleft()
+                if all(d >= _MAX_EARLY_DEATHS for d in self._early_deaths):
+                    raise WorkerCrashedError(
+                        "every pool worker died before becoming ready; "
+                        "the pool is broken"
+                    )
+                self._cond.wait()
+
+    def _checkin(self, slot: int) -> None:
+        """Hand a slot back after a call; a closing pool stops its worker."""
+        with self._cond:
+            if self._early_deaths[slot] >= _MAX_EARLY_DEATHS:
+                return  # retired
+            if not self._closing:
+                self._idle.append(slot)
+                self._cond.notify()
+                return
+            worker = self._slots[slot]
+        worker.stop()
+
+    def _usable(self, slot: int, deadline: float | None = None) -> _Worker:
+        """The slot's worker with its handshake read; dead ones are replaced.
+
+        A worker found dead before the call (killed while idle) is
+        replaced transparently, so the call still succeeds.
+        """
+        while True:
+            worker = self._slots[slot]
+            if not worker.ready:
+                remaining = (
+                    None if deadline is None
+                    else max(0.0, deadline - time.monotonic())
+                )
+                if not worker.conn.poll(remaining):
+                    raise ReproError("pool workers not ready before timeout")
+                try:
+                    worker.conn.recv()
+                    worker.ready = True
+                except (EOFError, OSError):
+                    self._replace(slot, worker)
+                    continue
+            if worker.proc.is_alive():
+                return worker
+            self._replace(slot, worker)
+
+    def _replace(self, slot: int, dead: _Worker) -> None:
+        """Respawn a dead worker's slot, counted as a restart.
 
         A worker that died *before* its ready handshake never ran a job —
         three of those in a row mean the worker environment itself is
-        broken (an import failure would otherwise respawn forever), so
-        the slot is retired instead of respawned.
+        broken (an import failure would otherwise respawn forever), so the
+        slot is retired and this raises :class:`WorkerCrashedError`, as it
+        does when the pool is shutting down.
         """
-        with self._lock:
+        with self._cond:
+            deaths = 0 if dead.ready else self._early_deaths[slot] + 1
+            self._early_deaths[slot] = deaths
+            error = None
             if self._closing:
-                return False
-            handle.dead = True
-            orphans = list(handle.pending.values())
-            handle.pending.clear()
-            # drop the dead worker's routes so rerouted keys rebalance
-            self._route = {
-                k: i for k, i in self._route.items() if i != index
-            }
-            if handle.ready.is_set():
-                self._early_deaths[index] = 0
+                error = "pool shut down with the job in flight"
+            elif deaths >= _MAX_EARLY_DEATHS:
+                error = ("pool worker died repeatedly before becoming "
+                         "ready; worker slot retired")
+                self._cond.notify_all()  # waiters re-check for live slots
             else:
-                self._early_deaths[index] += 1
-            respawn = self._early_deaths[index] < 3
-            if respawn:
-                self._handles[index] = self._spawn()
+                self._slots[slot] = self._spawn()
                 self._restarts += 1
-        if not respawn:
-            for future in orphans:
-                future.set_exception(
-                    WorkerCrashedError(
-                        "pool worker died repeatedly before becoming "
-                        "ready; worker slot retired"
-                    )
-                )
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-            return False
+        dead.conn.close()
+        dead.proc.join(timeout=1.0)
+        if error is not None:
+            raise WorkerCrashedError(error)
         _M_RESTARTS.inc()
-        try:
-            handle.conn.close()
-        except OSError:
-            pass
-        handle.proc.join(timeout=1.0)
-        for future in orphans:
-            future.set_exception(
-                WorkerCrashedError(
-                    f"pool worker {handle.proc.pid} died with "
-                    f"{len(orphans)} job(s) in flight"
-                )
-            )
-        return True
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:
-        """Stop the workers and fail whatever was still in flight.
+        """Stop the workers.  Idempotent, and never hangs.
 
-        Sends each worker the stop sentinel, joins (escalating to
-        terminate for a worker wedged mid-solve), then retires the
-        handler threads.  Idempotent.
+        Idle workers get the stop sentinel at once, busy ones from their
+        caller when its call returns.  Workers still running after a
+        shared five-second grace are terminated, which fails their calls
+        with :class:`WorkerCrashedError`.
         """
-        with self._lock:
+        with self._cond:
             if self._closing:
                 return
             self._closing = True
-            handles = list(self._handles)
-        for handle in handles:
-            try:
-                with handle.send_lock:
-                    handle.conn.send(None)
-            except (OSError, ValueError):
-                pass
-        for handle in handles:
-            handle.proc.join(timeout=5.0)
-            if handle.proc.is_alive():
-                handle.proc.terminate()
-                handle.proc.join(timeout=5.0)
-        for handle in handles:
-            try:
-                handle.conn.close()
-            except OSError:
-                pass
-        for t in self._threads:
-            if t is not threading.current_thread():
-                t.join(timeout=5.0)
-        self._threads = []
-        leftovers: list[Future] = []
-        with self._lock:
-            for handle in handles:
-                leftovers.extend(handle.pending.values())
-                handle.pending.clear()
-        for future in leftovers:
-            future.set_exception(
-                WorkerCrashedError("pool shut down with the job in flight")
-            )
+            idle = [self._slots[slot] for slot in self._idle]
+            self._idle.clear()
+            workers = list(self._slots)
+            self._cond.notify_all()
+        for worker in idle:
+            worker.stop()
+        deadline = time.monotonic() + 5.0
+        for worker in workers:
+            worker.proc.join(max(0.0, deadline - time.monotonic()))
+            if worker.proc.is_alive():
+                worker.proc.terminate()
+                worker.proc.join(timeout=5.0)
 
     def __enter__(self) -> "ShmWorkerPool":
         """Context manager: the running pool itself."""

@@ -22,7 +22,7 @@ from repro.labeling.labeling import Labeling
 from repro.labeling.spec import LpSpec
 from repro.reduction.from_tour import labeling_from_order
 from repro.reduction.to_tsp import ReducedInstance, reduce_to_path_tsp
-from repro.tsp.portfolio import EXACT_ENGINES, solve_path
+from repro.tsp.portfolio import EXACT_ENGINES, resolve_engine, solve_path
 from repro.tsp.tour import HamPath
 
 
@@ -81,9 +81,7 @@ def solve_labeling(
     t0 = time.perf_counter()
     red = reduce_to_path_tsp(graph, spec, analysis=analysis)
     t1 = time.perf_counter()
-    resolved = engine
-    if engine == "auto":
-        resolved = "held_karp" if red.n <= 15 else "lk"
+    resolved = resolve_engine(engine, red.n)
     path = solve_path(red.instance, resolved)
     t2 = time.perf_counter()
 

@@ -11,16 +11,19 @@ adds the serving layer the ROADMAP's traffic target needs:
   (``block=False``), so a burst degrades into latency or explicit rejection
   instead of unbounded memory growth.
 - **Worker pool** — ``workers`` threads drain the queue.  Cold solves are
-  CPU-bound Python, so when the host has more than one effective core the
-  workers offload them to a persistent :class:`ShmWorkerPool` (one
-  long-lived process per worker) and the pool width is the real
+  CPU-bound Python, so when the host has more than one effective core each
+  worker thread hands its solve to a persistent :class:`ShmWorkerPool`
+  (one long-lived process per thread) as one blocking
+  :meth:`~ShmWorkerPool.solve` call, and the pool width is the real
   parallelism; on a single-core host they solve inline and the threads
   still provide queuing, coalescing and backpressure.  Each canonical
   graph's distance matrix and CSR adjacency are published **once** into a
   :class:`ShmArena` shared-memory segment; after that every request
   crosses the process boundary as a ``(canonical key, p, engine)`` tuple
   and the worker solves on zero-copy numpy views — no per-request graph
-  pickling, no per-request pool spin-up.
+  pickling, no per-request pool spin-up.  A worker process that dies
+  mid-solve fails that request with
+  :class:`~repro.errors.WorkerCrashedError` and is respawned.
 - **Dedup in flight** — concurrent requests with the same canonical key
   coalesce onto one internal solve; every caller still receives its *own*
   future whose result is translated through its own vertex order (two
@@ -344,9 +347,6 @@ class ConcurrentLabelingService:
     cache_capacity / cache_path:
         Result-cache size, and an optional JSON file that warm-starts the
         cache when it exists (persist with ``server.cache.save()``).
-    start_method:
-        Multiprocessing start method for the pool workers (``"fork"``,
-        ``"spawn"``, ...); ``None`` uses the platform default.
     """
 
     def __init__(
@@ -357,8 +357,6 @@ class ConcurrentLabelingService:
         offload: bool | None = None,
         cache_capacity: int = 4096,
         cache_path: str | Path | None = None,
-        start_method: str | None = None,
-        router: QosRouter | None = None,
     ) -> None:
         """Build the queue and the cache, and start the workers."""
         if workers < 1:
@@ -366,9 +364,8 @@ class ConcurrentLabelingService:
         if queue_size < 1:
             raise ReproError(f"queue_size must be >= 1, got {queue_size}")
         self.cache = ShardedResultCache(capacity=cache_capacity, path=cache_path)
-        #: Tier selection policy; pass a pre-configured :class:`QosRouter`
-        #: to tune the degradation thresholds.
-        self.router = router if router is not None else QosRouter(queue_size)
+        #: Tier selection policy (tune its thresholds on this attribute).
+        self.router = QosRouter(queue_size)
         self.workers = workers
         self.block = block
         self.stats = ServerStats()
@@ -387,9 +384,7 @@ class ConcurrentLabelingService:
         # child processes never inherit a half-started thread's state.
         if offload:
             self._arena: ShmArena | None = ShmArena()
-            self._pool: ShmWorkerPool | None = ShmWorkerPool(
-                workers, start_method=start_method
-            )
+            self._pool: ShmWorkerPool | None = ShmWorkerPool(workers)
         else:
             self._arena = None
             self._pool = None
@@ -555,10 +550,6 @@ class ConcurrentLabelingService:
         )
         return public
 
-    def solve(self, request: SolveRequest):
-        """Blocking convenience: ``submit(request).result()``."""
-        return self.submit(request).result()
-
     # ------------------------------------------------------------------
     def _deliver(
         self,
@@ -690,19 +681,11 @@ class ConcurrentLabelingService:
 
     def _solve_offloaded(self, job: _Job) -> tuple[CachedSolve, float]:
         """Solve on the shared-memory worker pool; the graph never pickles."""
-        ctx = TRACER.current_context()
-        ctx_row = (
-            {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
-            if ctx is not None
-            else None
-        )
         descriptor = self._lease_segment(job)
         try:
-            _key, labels, span, engine, exact, seconds = self._pool.submit(
-                descriptor,
-                (job.key, job.request.spec.p, job.request.engine),
-                ctx_row,
-            ).result()
+            _key, labels, span, engine, exact, seconds = self._pool.solve(
+                descriptor, (job.key, job.request.spec.p, job.request.engine)
+            )
         finally:
             self._arena.release(job.form.key)
         entry = CachedSolve(labels=labels, span=span, engine=engine, exact=exact)
@@ -743,8 +726,8 @@ class ConcurrentLabelingService:
 
         A no-op for inline services.  Benchmarks call this before the
         timed region so the first measured request pays solve cost, not
-        process start-up; production callers may skip it — the pool
-        buffers submissions until workers come up.
+        process start-up; production callers may skip it — a call waits
+        for its worker's start-up handshake.
         """
         if self._pool is not None:
             self._pool.wait_ready(timeout=timeout)

@@ -15,7 +15,7 @@ import numpy as np
 
 from repro.tsp.construction import greedy_edge_path, nearest_neighbor_path
 from repro.tsp.instance import TSPInstance
-from repro.tsp.local_search import or_opt_path, two_opt_path
+from repro.tsp.local_search import three_opt_path
 from repro.tsp.tour import HamPath
 
 _EPS = 1e-10
@@ -54,11 +54,11 @@ def lk_style_path(
         cands = [greedy_edge_path(instance), nearest_neighbor_path(instance, 0)]
         start = min(cands, key=lambda p: p.length)
 
-    best = _descend(instance, start)
+    best = three_opt_path(instance, start)
     cur = best
     for _ in range(kicks):
         kicked = _double_bridge(instance, cur, rng)
-        improved = _descend(instance, kicked)
+        improved = three_opt_path(instance, kicked)
         # accept-if-better (keeps the chain anchored at the incumbent)
         if improved.length < cur.length - _EPS:
             cur = improved
@@ -79,17 +79,6 @@ def held_trivial(instance: TSPInstance) -> HamPath:
         key=lambda o: instance.path_length(o),
     )
     return HamPath.from_order(instance, best)
-
-
-def _descend(instance: TSPInstance, start: HamPath) -> HamPath:
-    """Run 2-opt and Or-opt to a joint local optimum."""
-    cur = start
-    while True:
-        improved = two_opt_path(instance, cur)
-        improved = or_opt_path(instance, improved)
-        if improved.length >= cur.length - _EPS:
-            return improved
-        cur = improved
 
 
 def _double_bridge(

@@ -117,12 +117,21 @@ def get_engine(name: str) -> PathEngine:
         ) from None
 
 
-def solve_path(instance: TSPInstance, engine: str = "auto") -> HamPath:
-    """Solve path TSP with the named engine; ``auto`` = exact when small.
+def resolve_engine(engine: str, n: int) -> str:
+    """The engine that runs for ``engine`` on ``n`` vertices.
 
     ``auto`` uses Held–Karp up to 15 vertices and the LK-style heuristic
-    beyond — matching how the paper proposes the framework be used.
+    beyond — matching how the paper proposes the framework be used; any
+    other name is returned unchanged.
+
+    >>> resolve_engine("auto", 15), resolve_engine("auto", 16)
+    ('held_karp', 'lk')
     """
     if engine == "auto":
-        engine = "held_karp" if instance.n <= 15 else "lk"
-    return get_engine(engine)(instance)
+        return "held_karp" if n <= 15 else "lk"
+    return engine
+
+
+def solve_path(instance: TSPInstance, engine: str = "auto") -> HamPath:
+    """Solve path TSP with the named engine (see :func:`resolve_engine`)."""
+    return get_engine(resolve_engine(engine, instance.n))(instance)

@@ -7,7 +7,7 @@ The invariants under test are the tentpole's acceptance criteria:
 - **zero leaks**: every ``repro_shm_*`` name is gone from ``/dev/shm``
   after shutdown, eviction, crash, or interpreter exit — the session
   fixture in ``conftest.py`` backstops every test here;
-- **no hangs**: a worker SIGKILLed mid-solve fails its futures with
+- **no hangs**: a worker SIGKILLed mid-solve makes its call raise
   :class:`WorkerCrashedError` promptly and the pool keeps serving.
 """
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 import multiprocessing
 import os
 import signal
+import threading
 import time
 
 import numpy as np
@@ -38,6 +39,10 @@ from repro.parallel.shm_pool import live_segment_names as repro_shm_segments
 
 SPEC = (2, 1)
 ENGINE = "lk"
+#: Engine for the slow instances the crash tests kill workers under.
+SLOW_ENGINE = "lk_long"
+#: Every pool call must return or raise within this many seconds.
+CALL_BOUND_S = 30
 
 #: Start methods exercised by the pool tests.  fork is the Linux default
 #: and the serving path's production mode; spawn is what macOS/Windows
@@ -61,15 +66,65 @@ def publish(arena: ShmArena, key: str, seed: int = 7):
     return descriptor, graph
 
 
-def retry_crashed(submit_once, attempts: int = 10):
-    """Resubmit through WorkerCrashedError — the pool's documented contract
-    after a worker death (a submit racing death detection can still fail)."""
-    for _ in range(attempts):
+def slow_graph(n: int = 60):
+    """A diameter-2 instance whose ``SLOW_ENGINE`` solve takes seconds."""
+    return gen.random_graph_with_diameter_at_most(n, 2, seed=3)
+
+
+def publish_slow(arena: ShmArena, key: str, n: int = 60):
+    """Publish one slow instance's buffers; returns (descriptor, graph)."""
+    graph = slow_graph(n)
+    descriptor = arena.publish(key, export_buffers(get_analysis(graph)))
+    return descriptor, graph
+
+
+class Call:
+    """One blocking pool call run on its own caller thread."""
+
+    def __init__(self, fn) -> None:
+        self._fn = fn
+        self._result = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def _run(self) -> None:
         try:
-            return submit_once().result(timeout=60)
+            self._fn()
+            self._result = "ok"
         except WorkerCrashedError:
-            time.sleep(0.05)
-    pytest.fail("pool never recovered after worker death")
+            self._result = "crashed"
+        except BaseException as exc:  # surfaced by outcome()
+            self._result = exc
+
+    def outcome(self, timeout: float = CALL_BOUND_S):
+        """``"ok"`` or ``"crashed"``; fails the test past ``timeout``."""
+        self._thread.join(timeout)
+        assert not self._thread.is_alive(), "pool call hung"
+        if isinstance(self._result, BaseException):
+            raise self._result
+        return self._result
+
+
+def wait_dispatched(pool: ShmWorkerPool, count: int) -> None:
+    """Block until the pool has dispatched ``count`` calls in total."""
+    deadline = time.monotonic() + CALL_BOUND_S
+    while sum(pool.dispatch_counts()) < count:
+        assert time.monotonic() < deadline, "calls never dispatched"
+        time.sleep(0.01)
+
+
+def wait_dead(pid: int) -> None:
+    """Block until ``pid`` has exited (zombie or reaped)."""
+    deadline = time.monotonic() + CALL_BOUND_S
+    while True:
+        try:
+            with open(f"/proc/{pid}/stat") as fh:
+                if fh.read().rsplit(")", 1)[1].split()[0] == "Z":
+                    return
+        except FileNotFoundError:
+            return
+        assert time.monotonic() < deadline, f"process {pid} never died"
+        time.sleep(0.01)
 
 
 class TestShmArena:
@@ -158,9 +213,9 @@ class TestShmWorkerPool:
             descriptor, _ = publish(arena, "k0")
             with ShmWorkerPool(2, start_method=start_method) as pool:
                 pool.wait_ready()
-                key, labels, span, engine, exact, seconds = pool.submit(
+                key, labels, span, engine, exact, seconds = pool.solve(
                     descriptor, ("k0", SPEC, ENGINE)
-                ).result(timeout=60)
+                )
         assert key == "k0"
         assert span == inline.span
         assert labels == inline.labeling.labels
@@ -171,35 +226,22 @@ class TestShmWorkerPool:
         with ShmArena() as arena:
             descriptor, _ = publish(arena, "k0")
             with ShmWorkerPool(1, start_method=start_method) as pool:
-                report = pool.probe(descriptor).result(timeout=60)
+                report = pool.probe(descriptor)
         assert report["pid"] != os.getpid()
         assert report["owns_data"] is False
         assert report["base_is_shm_buffer"] is True
         assert report["nbytes"] > 0
 
-    def test_repeat_keys_stick_to_one_worker(self, start_method):
-        with ShmArena() as arena:
-            descriptor, _ = publish(arena, "k0")
-            with ShmWorkerPool(2, start_method=start_method) as pool:
-                pool.wait_ready()
-                for _ in range(6):
-                    pool.submit(
-                        descriptor, ("k0", SPEC, ENGINE)
-                    ).result(timeout=60)
-                counts = pool.dispatch_counts()
-        # key affinity: every job for one canonical key on one worker
-        assert sorted(counts) == [0, 6]
-
     def test_fresh_keys_spread_across_workers(self, start_method):
         with ShmArena() as arena:
             with ShmWorkerPool(2, start_method=start_method) as pool:
                 pool.wait_ready()
-                futures = []
+                pids = set()
                 for i in range(4):
                     descriptor, _ = publish(arena, f"k{i}", seed=i)
-                    futures.append(pool.probe(descriptor))
-                pids = {f.result(timeout=60)["pid"] for f in futures}
-                assert len(pids) == 2  # least-loaded routing used both
+                    pids.add(pool.probe(descriptor)["pid"])
+                assert len(pids) == 2  # sequential calls rotate the workers
+                assert pool.dispatch_counts() == [2, 2]
                 assert pool.route_imbalance() == pytest.approx(1.0)
 
     def test_submit_after_shutdown_raises(self, start_method):
@@ -209,7 +251,16 @@ class TestShmWorkerPool:
         pool.shutdown()
         pool.shutdown()  # idempotent
         with pytest.raises(ReproError, match="shut down"):
-            pool.submit(descriptor, ("k0", SPEC, ENGINE))
+            pool.solve(descriptor, ("k0", SPEC, ENGINE))
+
+    def test_pool_starts_no_thread(self, start_method):
+        before = set(threading.enumerate())
+        with ShmArena() as arena:
+            descriptor, _ = publish(arena, "k0")
+            with ShmWorkerPool(2, start_method=start_method) as pool:
+                pool.wait_ready()
+                pool.solve(descriptor, ("k0", SPEC, ENGINE))
+                assert set(threading.enumerate()) - before == set()
 
 
 class TestWorkerDeath:
@@ -220,59 +271,54 @@ class TestWorkerDeath:
 
         restarts_before = REGISTRY.value("repro_pool_worker_restarts_total")
         with ShmArena() as arena:
-            descriptor, _ = publish(arena, "k0")
+            slow, _ = publish_slow(arena, "slow")
+            small, _ = publish(arena, "k0")
             with ShmWorkerPool(2, start_method="fork") as pool:
                 pool.wait_ready()
-                futures = [
-                    pool.submit(descriptor, ("k0", SPEC, ENGINE))
-                    for _ in range(6)
+                calls = [
+                    Call(lambda: pool.solve(slow, ("slow", SPEC, SLOW_ENGINE)))
+                    for _ in range(2)
                 ]
+                wait_dispatched(pool, 2)
                 for pid in pool.worker_pids():
                     os.kill(pid, signal.SIGKILL)
-                outcomes = []
-                for f in futures:
-                    try:
-                        outcomes.append(f.result(timeout=30))
-                    except WorkerCrashedError:
-                        outcomes.append("crashed")
-                # every future resolved (none hung); at least the in-flight
-                # solve on each killed worker crashed
-                assert outcomes.count("crashed") >= 1
-                assert pool.restart_count >= 1
-                # the respawned workers serve again
-                _, _, span, *_ = retry_crashed(
-                    lambda: pool.submit(descriptor, ("k0", SPEC, ENGINE))
-                )
-                assert span >= 0
+                # both calls were mid-solve on a killed worker
+                assert [c.outcome() for c in calls] == ["crashed", "crashed"]
+                assert pool.restart_count == 2
+                # the respawned workers serve again, no retry needed
+                for _ in range(2):
+                    _, _, span, *_ = pool.solve(small, ("k0", SPEC, ENGINE))
+                    assert span >= 0
         delta = (
             REGISTRY.value("repro_pool_worker_restarts_total")
             - restarts_before
         )
-        assert delta == pool.restart_count >= 1
+        assert delta == pool.restart_count == 2
 
     def test_crash_hammer_never_hangs_or_leaks(self):
-        """Kill workers while submitting; every future must resolve."""
-        deadline = time.monotonic() + 60
+        """Kill workers under concurrent calls; every call must resolve."""
         with ShmArena() as arena:
-            descriptor, _ = publish(arena, "k0")
+            descriptor, _ = publish_slow(arena, "k0", n=30)
             with ShmWorkerPool(2, start_method="fork") as pool:
                 pool.wait_ready()
                 for round_no in range(3):
-                    futures = [
-                        pool.submit(descriptor, ("k0", SPEC, ENGINE))
+                    dispatched = sum(pool.dispatch_counts())
+                    calls = [
+                        Call(lambda: pool.solve(
+                            descriptor, ("k0", SPEC, SLOW_ENGINE)
+                        ))
                         for _ in range(4)
                     ]
+                    wait_dispatched(pool, dispatched + 2)
                     os.kill(
                         pool.worker_pids()[round_no % 2], signal.SIGKILL
                     )
-                    for f in futures:
-                        assert time.monotonic() < deadline, "pool hung"
-                        try:
-                            f.result(timeout=30)
-                        except WorkerCrashedError:
-                            pass
+                    outcomes = [c.outcome() for c in calls]
+                    assert "crashed" in outcomes
+                    assert set(outcomes) <= {"ok", "crashed"}
+                assert pool.restart_count == 3
                 # segments stay attached-to and valid throughout
-                report = retry_crashed(lambda: pool.probe(descriptor))
+                report = pool.probe(descriptor)
                 assert report["base_is_shm_buffer"] is True
         assert descriptor.segment not in repro_shm_segments()
 
@@ -282,16 +328,44 @@ class TestWorkerDeath:
             with ShmWorkerPool(1, start_method="fork") as pool:
                 pool.wait_ready()
                 # the worker attaches (and caches) the segment...
-                pool.probe(descriptor).result(timeout=60)
-                os.kill(pool.worker_pids()[0], signal.SIGKILL)
-                pool.restart_count  # touch: death handled asynchronously
-                time.sleep(0.2)
+                pool.probe(descriptor)
+                pid = pool.worker_pids()[0]
+                os.kill(pid, signal.SIGKILL)
+                wait_dead(pid)
                 # ...and its death must not tear the parent's segment down
                 # (bpo-39959: a tracked attach would unlink it here)
                 assert descriptor.segment in repro_shm_segments()
-                report = retry_crashed(lambda: pool.probe(descriptor))
+                report = pool.probe(descriptor)
                 assert report["base_is_shm_buffer"] is True
         assert descriptor.segment not in repro_shm_segments()
+
+    def test_idle_killed_worker_is_replaced_transparently(self):
+        with ShmArena() as arena:
+            descriptor, _ = publish(arena, "k0")
+            with ShmWorkerPool(1, start_method="fork") as pool:
+                pool.wait_ready()
+                pool.solve(descriptor, ("k0", SPEC, ENGINE))
+                pid = pool.worker_pids()[0]
+                os.kill(pid, signal.SIGKILL)
+                wait_dead(pid)
+                _, _, span, *_ = pool.solve(descriptor, ("k0", SPEC, ENGINE))
+                assert span >= 0
+                assert pool.restart_count == 1
+                assert pool.worker_pids()[0] != pid
+
+    def test_shutdown_with_call_in_flight_returns_within_bound(self):
+        with ShmArena() as arena:
+            slow, _ = publish_slow(arena, "slow")
+            pool = ShmWorkerPool(1, start_method="fork")
+            pool.wait_ready()
+            call = Call(lambda: pool.solve(slow, ("slow", SPEC, SLOW_ENGINE)))
+            wait_dispatched(pool, 1)
+            t0 = time.monotonic()
+            pool.shutdown()
+            assert time.monotonic() - t0 < 15
+            assert call.outcome() in ("ok", "crashed")
+            # shutdown reaped the worker: its pid is gone
+            assert not os.path.exists(f"/proc/{pool.worker_pids()[0]}")
 
 
 class TestServerIntegration:
@@ -338,3 +412,45 @@ class TestServerIntegration:
         assert stats["solved"] == 1 and stats["hits"] == 1
         # exactly one publish: the single cold solve's canonical buffers
         assert published > 0
+
+    def test_worker_crash_fails_request_and_resubmit_solves(self):
+        from repro.errors import error_payload
+        from repro.obs.metrics import REGISTRY
+        from repro.service.server import ConcurrentLabelingService
+
+        def dispatched() -> float:
+            return sum(
+                REGISTRY.value("repro_pool_dispatch_total", worker=str(i))
+                for i in range(2)
+            )
+
+        graph = slow_graph()
+        request = SolveRequest(graph, LpSpec(SPEC), engine=SLOW_ENGINE)
+        with ConcurrentLabelingService(workers=2, offload=True) as server:
+            server.prewarm()
+            before = dispatched()
+            future = server.submit(request)
+            deadline = time.monotonic() + CALL_BOUND_S
+            while dispatched() == before:
+                assert time.monotonic() < deadline, "solve never dispatched"
+                time.sleep(0.01)
+            for child in multiprocessing.active_children():
+                os.kill(child.pid, signal.SIGKILL)
+            with pytest.raises(WorkerCrashedError) as crashed:
+                future.result(timeout=CALL_BOUND_S)
+            payload = error_payload(crashed.value)
+            assert (payload["status"], payload["code"]) == (
+                503, "worker_crashed"
+            )
+            stats = server.stats.snapshot()
+            assert (stats["errors"], stats["solved"]) == (1, 0)
+            # the failed key left no in-flight entry: a resubmit solves anew
+            again = server.submit(request).result(timeout=60)
+            again.labeling.require_feasible(graph, LpSpec(SPEC))
+            assert not again.cached
+            stats = server.stats.snapshot()
+            assert (stats["solved"], stats["coalesced"]) == (1, 0)
+        assert not [
+            s for s in repro_shm_segments()
+            if s.startswith(f"repro_shm_{os.getpid()}_")
+        ]
