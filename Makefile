@@ -18,8 +18,8 @@ bench:
 
 # assertion-only pass over the oracle + dynamic-engine + serving
 # benchmarks (fast enough for CI): bit-identical matrices, APSP-once,
-# zero-APSP sessions, no duplicate solves under concurrency, shm-pool
-# serial equivalence + zero-copy adoption + no-graph-pickling.  Wall-clock
+# zero-APSP sessions, no duplicate solves under concurrency, worker-pool
+# serial equivalence + no-graph-pickling.  Wall-clock
 # floors (the E13 >=3x churn win, the E14/E15 >=2x worker scaling) are
 # deselected here — timing asserts belong to the calibrated perf gate,
 # the timed `make bench` tier and the CI pool-scaling job, not the

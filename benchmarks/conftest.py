@@ -26,17 +26,6 @@ from repro.labeling.spec import L21
 from repro.reduction.to_tsp import reduce_to_path_tsp
 
 
-@pytest.fixture(scope="session", autouse=True)
-def no_shm_leaks():
-    """Session gate: offloaded serving must unlink every shm segment."""
-    from repro.parallel.shm_pool import live_segment_names
-
-    before = set(live_segment_names())
-    yield
-    leaked = sorted(set(live_segment_names()) - before)
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
-
-
 def pytest_addoption(parser):
     parser.addoption(
         "--perf-record",

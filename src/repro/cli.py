@@ -665,7 +665,7 @@ def build_parser() -> argparse.ArgumentParser:
     offload = b.add_mutually_exclusive_group()
     offload.add_argument(
         "--offload", dest="offload", action="store_true", default=None,
-        help="force cold solves onto the shared-memory worker pool "
+        help="force cold solves onto the persistent worker pool "
              "(default: auto — offload when >1 worker and >1 effective CPU)",
     )
     offload.add_argument(
@@ -761,7 +761,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="submission-queue high-water mark (backpressure)")
     sv.add_argument(
         "--offload", default=None, action="store_true",
-        help="force solve offload to the shared-memory worker pool "
+        help="force solve offload to the persistent worker pool "
              "(default: auto-detect from effective CPU count)",
     )
     sv.add_argument(

@@ -551,10 +551,10 @@ def export_buffers(analysis: GraphAnalysis) -> dict[str, np.ndarray]:
     """The analysis's heavy arrays, keyed by field name, copy-free.
 
     ``distances`` (the ``n x n`` APSP matrix), plus the CSR adjacency pair
-    ``indptr``/``indices`` — exactly the payload worth publishing into
-    shared memory once per canonical graph instead of pickling per
-    request.  Returns the live arrays (no copy); the caller treats them as
-    read-only, same as every other consumer of the oracle.
+    ``indptr``/``indices`` — everything a worker process needs to solve
+    on the graph, as plain arrays that cross a pipe without pickling the
+    graph itself.  Returns the live arrays (no copy); the caller treats
+    them as read-only, same as every other consumer of the oracle.
     """
     return {
         "distances": analysis.distances,
@@ -574,11 +574,10 @@ def adopt_buffers(
     The inverse of :func:`export_buffers` on the far side of a process
     boundary: the adjacency structure is reconstructed from the CSR pair,
     and the returned graph's memoized :class:`GraphAnalysis` holds the
-    *given arrays themselves* — when they are views into a shared-memory
-    segment, every downstream consumer (reduction, verify, refinement)
-    reads the segment directly and the worker never materializes its own
-    ``O(n^2)`` matrix.  The caller vouches for consistency between the
-    CSR pair and the matrix; shapes are checked, content is trusted.
+    *given arrays themselves*, so every downstream consumer (reduction,
+    verify, refinement) reads them directly and no APSP runs again.  The
+    caller vouches for consistency between the CSR pair and the matrix;
+    shapes are checked, content is trusted.
     """
     indptr = np.asarray(indptr, dtype=np.int64)
     indices = np.asarray(indices, dtype=np.int64)

@@ -147,17 +147,7 @@ CATALOG: dict[str, tuple[str, str]] = {
         "Cumulative seconds each server worker spent waiting on the "
         "queue (label: worker).",
     ),
-    # ---- shared-memory worker pool ------------------------------------
-    "repro_shm_bytes_published_total": (
-        COUNTER,
-        "Bytes copied into shared-memory segments by ShmArena.publish "
-        "(distance matrices + CSR adjacency, once per canonical graph).",
-    ),
-    "repro_shm_segments_live": (
-        GAUGE,
-        "Shared-memory segments currently owned (published, not yet "
-        "unlinked) by the most recently built ShmArena.",
-    ),
+    # ---- persistent worker pool ----------------------------------------
     "repro_pool_worker_restarts_total": (
         COUNTER,
         "Pool worker processes that died and were respawned; a call "

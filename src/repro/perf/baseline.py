@@ -54,7 +54,7 @@ METRIC_GATES: dict[str, tuple[str, float]] = {
     # slack absorbs scheduler noise, but a design change that reintroduces
     # a global-lock hot spot fails here, not in the timing noise
     "shard_lock_wait": ("max", 0.05),
-    # the shared-memory pool's raison d'être: 4 serving workers must beat
+    # the worker pool's raison d'être: 4 serving workers must beat
     # 1 by >= 2x on the cold-only stream.  Enforced only where physically
     # measurable — the record's own ``effective_cpus`` must be >= 4 (the
     # CI pool-scaling leg); a pinned single-core run reports its honest

@@ -404,7 +404,7 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     ``cold-scaling`` leg (every request a distinct engine run — nothing
     for the cache or in-flight dedup to absorb), 4 workers vs 1.  With
     more than one effective CPU the 4-worker server auto-offloads cold
-    solves to the persistent shared-memory pool, so the ratio measures
+    solves to the persistent worker pool, so the ratio measures
     exactly what the tentpole claims: real multi-core scaling past the
     GIL.  The ``("floor", 2.0)`` gate applies only where it is physically
     measurable — trajectories also carry ``effective_cpus`` and the

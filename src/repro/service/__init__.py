@@ -16,7 +16,7 @@ Layer map (bottom up):
   batches with in-batch dedup) the session layer routes through;
 * :mod:`repro.service.server` — the :class:`ConcurrentLabelingService`
   front end: bounded submission queue, worker pool (offloading to the
-  shared-memory process pool on multi-core hosts), in-flight dedup,
+  persistent process pool on multi-core hosts), in-flight dedup,
   backpressure and graceful shutdown.
 """
 

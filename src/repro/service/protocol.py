@@ -30,6 +30,7 @@ from repro.graphs.analysis import GraphAnalysis
 from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import LpSpec
+from repro.tsp.portfolio import ENGINES
 
 #: The quality tiers a request may ask for (``auto`` defers to the router).
 TIERS = frozenset({"exact", "approx", "auto"})
@@ -124,6 +125,11 @@ class SolveRequest:
         engine = payload.get("engine", "auto")
         if not isinstance(engine, str):
             raise RequestValidationError(f"'engine' must be a string, got {engine!r}")
+        if engine != "auto" and engine not in ENGINES:
+            raise RequestValidationError(
+                f"unknown engine {engine!r}; known engines: auto, "
+                f"{', '.join(ENGINES)}"
+            )
         tag = payload.get("tag")
         if tag is not None and not isinstance(tag, str):
             raise RequestValidationError(f"'tag' must be a string or null, got {tag!r}")

@@ -12,18 +12,17 @@ adds the serving layer the ROADMAP's traffic target needs:
   instead of unbounded memory growth.
 - **Worker pool** — ``workers`` threads drain the queue.  Cold solves are
   CPU-bound Python, so when the host has more than one effective core each
-  worker thread hands its solve to a persistent :class:`ShmWorkerPool`
+  worker thread hands its solve to a persistent :class:`WorkerPool`
   (one long-lived process per thread) as one blocking
-  :meth:`~ShmWorkerPool.solve` call, and the pool width is the real
+  :meth:`~WorkerPool.solve` call, and the pool width is the real
   parallelism; on a single-core host they solve inline and the threads
-  still provide queuing, coalescing and backpressure.  Each canonical
-  graph's distance matrix and CSR adjacency are published **once** into a
-  :class:`ShmArena` shared-memory segment; after that every request
-  crosses the process boundary as a ``(canonical key, p, engine)`` tuple
-  and the worker solves on zero-copy numpy views — no per-request graph
-  pickling, no per-request pool spin-up.  A worker process that dies
-  mid-solve fails that request with
-  :class:`~repro.errors.WorkerCrashedError` and is respawned.
+  still provide queuing, coalescing and backpressure.  An offloaded
+  request crosses the process boundary as its canonical graph's distance
+  matrix and CSR adjacency plus a ``(key, p, engine)`` tuple, sent
+  through the worker's pipe — the graph itself never pickles, and no
+  pool is spun up per request.  A worker process that dies mid-solve
+  fails that request with :class:`~repro.errors.WorkerCrashedError` and
+  is respawned.
 - **Dedup in flight** — concurrent requests with the same canonical key
   coalesce onto one internal solve; every caller still receives its *own*
   future whose result is translated through its own vertex order (two
@@ -64,8 +63,7 @@ from repro.errors import (
 from repro.graphs.analysis import export_buffers, get_analysis
 from repro.obs.metrics import REGISTRY
 from repro.obs.trace import TRACER, SpanContext
-from repro.parallel.pool import effective_cpu_count
-from repro.parallel.shm_pool import ShmArena, ShmDescriptor, ShmWorkerPool
+from repro.parallel.pool import WorkerPool, effective_cpu_count
 from repro.service.api import _answer, _composed_key, solve_canonical
 from repro.service.cache import CachedSolve
 from repro.service.canonical import (
@@ -337,9 +335,9 @@ class ConcurrentLabelingService:
         :class:`ServiceOverloadedError`.  Overridable per call.
     offload:
         ``True`` ships cold solves to a persistent
-        :class:`~repro.parallel.shm_pool.ShmWorkerPool` (real parallelism
-        for CPU-bound engines, shared-memory graph buffers), ``False``
-        solves inline on the worker thread.  ``None`` (default)
+        :class:`~repro.parallel.pool.WorkerPool` (real parallelism for
+        CPU-bound engines), ``False`` solves inline on the worker
+        thread.  ``None`` (default)
         auto-detects: offload only when ``workers > 1`` *and* the process
         may run on more than one CPU (:func:`effective_cpu_count`, which
         respects container/affinity masks) — on a single core the pool
@@ -382,12 +380,7 @@ class ConcurrentLabelingService:
             offload = workers > 1 and effective_cpu_count() > 1
         # The pool forks/spawns *before* the worker threads start, so the
         # child processes never inherit a half-started thread's state.
-        if offload:
-            self._arena: ShmArena | None = ShmArena()
-            self._pool: ShmWorkerPool | None = ShmWorkerPool(workers)
-        else:
-            self._arena = None
-            self._pool = None
+        self._pool = WorkerPool(workers) if offload else None
         # Registry surface: latency histograms are shared process-wide;
         # the queue-depth gauge samples this instance weakly (most recent
         # server owns it); per-worker busy/idle gauges measure the GIL
@@ -468,6 +461,9 @@ class ConcurrentLabelingService:
         :class:`ServiceOverloadedError`.
         """
         t_submit = time.perf_counter()
+        # fail fast: a closed service neither routes nor canonicalizes;
+        # the locked re-checks below settle a close racing this submit
+        self._refuse_if_closed()
         tier = self.router.route(request, self._queue.qsize())
         deadline = (
             t_submit + request.deadline_ms / 1000.0
@@ -486,10 +482,7 @@ class ConcurrentLabelingService:
         entry = self.cache.get(key)
         if entry is not None:
             with self._lock:
-                if self._closed:
-                    raise ServiceClosedError(
-                        "service is shut down; no new submissions"
-                    )
+                self._refuse_if_closed()
                 self.stats.add(submitted=1, hits=1, completed=1)
             done: Future = Future()
             done.set_result(_answer(request, form, key, entry, cached=True))
@@ -497,10 +490,7 @@ class ConcurrentLabelingService:
             return done
 
         with self._lock:
-            if self._closed:
-                raise ServiceClosedError(
-                    "service is shut down; no new submissions"
-                )
+            self._refuse_if_closed()
             self.stats.add(submitted=1)
             self.stats.observe_depth(self._queue.qsize())
             internal = self._inflight.get(key)
@@ -549,6 +539,11 @@ class ConcurrentLabelingService:
             )
         )
         return public
+
+    def _refuse_if_closed(self) -> None:
+        """Raise :class:`ServiceClosedError` once :meth:`shutdown` began."""
+        if self._closed:
+            raise ServiceClosedError("service is shut down; no new submissions")
 
     # ------------------------------------------------------------------
     def _deliver(
@@ -680,33 +675,19 @@ class ConcurrentLabelingService:
         return solve_canonical(form, request, tier)
 
     def _solve_offloaded(self, job: _Job) -> tuple[CachedSolve, float]:
-        """Solve on the shared-memory worker pool; the graph never pickles."""
-        descriptor = self._lease_segment(job)
-        try:
-            _key, labels, span, engine, exact, seconds = self._pool.solve(
-                descriptor, (job.key, job.request.spec.p, job.request.engine)
-            )
-        finally:
-            self._arena.release(job.form.key)
+        """Solve on the worker pool; the graph never pickles.
+
+        :func:`canonical_instance` permutes the APSP already computed at
+        submit time into canonical order, and its exported arrays travel
+        to the worker with the job.
+        """
+        canonical = canonical_instance(job.form, job.request.graph)
+        _key, labels, span, engine, exact, seconds = self._pool.solve(
+            export_buffers(get_analysis(canonical)),
+            (job.key, job.request.spec.p, job.request.engine),
+        )
         entry = CachedSolve(labels=labels, span=span, engine=engine, exact=exact)
         return entry, seconds
-
-    def _lease_segment(self, job: _Job) -> ShmDescriptor:
-        """The job's canonical buffers in shared memory, leased for one solve.
-
-        The first requester of a canonical key pays one permuted-matrix
-        copy (:func:`canonical_instance` reuses the APSP already computed
-        at submit time) and one publish; every later request for the same
-        key — from any worker thread, for the lifetime of the arena entry
-        — crosses the process boundary as the descriptor alone.
-        """
-        descriptor = self._arena.lease(job.form.key)
-        if descriptor is None:
-            canonical = canonical_instance(job.form, job.request.graph)
-            descriptor = self._arena.publish(
-                job.form.key, export_buffers(get_analysis(canonical))
-            )
-        return descriptor
 
     def _finish(
         self, job: _Job, entry: CachedSolve, cached: bool, seconds: float
@@ -792,9 +773,6 @@ class ConcurrentLabelingService:
         if self._pool is not None:
             self._pool.shutdown()
             self._pool = None
-        if self._arena is not None:
-            self._arena.close()  # unlinks every published segment
-            self._arena = None
 
     def __enter__(self) -> "ConcurrentLabelingService":
         """Context manager: the running service itself."""

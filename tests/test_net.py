@@ -149,6 +149,22 @@ def test_unknown_path_method_and_bad_payload():
         assert err.value.code == 400         # whole batch validated up front
 
 
+def test_unknown_engine_is_rejected_before_the_service():
+    with make_server() as server:
+        url = server.url
+        before = json.loads(get(url, "/stats")[2])
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(url, "/solve", solve_body(graph(0), engine="nope"))
+        assert err.value.code == 400
+        body = json.loads(err.value.read())
+        assert body["code"] == "invalid_request"
+        assert "unknown engine 'nope'" in body["error"]
+        after = json.loads(get(url, "/stats")[2])
+        # rejected at validation: never submitted, never a server error
+        for counter in ("submitted", "errors"):
+            assert after[counter] == before[counter]
+
+
 def test_inapplicable_instance_maps_to_422():
     with make_server() as server:
         with pytest.raises(urllib.error.HTTPError) as err:

@@ -182,6 +182,7 @@ def test_response_roundtrip_from_live_solve():
         {"n": 3, "edges": [], "p": [2, 1], "deadline_ms": -50},   # negative
         {"n": 3, "edges": [], "p": [2, 1], "deadline_ms": True},  # bool not int
         {"n": 3, "edges": [], "p": [2, 1], "deadline_ms": "100"}, # string
+        {"n": 3, "edges": [], "p": [2, 1], "engine": "nope"},  # unknown engine
     ],
 )
 def test_request_from_json_rejects_malformed(payload):

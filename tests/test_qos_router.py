@@ -17,6 +17,7 @@ import pytest
 from repro.errors import (
     ERROR_TABLE,
     DeadlineExpiredError,
+    ServiceClosedError,
     ServiceOverloadedError,
 )
 from repro.graphs import generators as gen
@@ -178,6 +179,31 @@ def test_saturated_queue_size_1_rejects_after_degrading():
     state = server.router.to_json()
     assert state["exact"] == 2 and state["approx"] == 1
     assert server.stats.rejected == 1
+
+
+def test_closed_service_routes_nothing(monkeypatch):
+    """A submit after shutdown fails before the router or canonicalization."""
+    import repro.service.server as server_module
+
+    server = make_server(workers=1)
+    server.shutdown(wait=True)
+    canonicalized = []
+    real_canonical_form = server_module.canonical_form
+
+    def counting_canonical_form(*args, **kwargs):
+        canonicalized.append(args)
+        return real_canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(server_module, "canonical_form", counting_canonical_form)
+    exact_before = REGISTRY.value("repro_router_requests_total", tier="exact")
+    with pytest.raises(ServiceClosedError):
+        server.submit(SolveRequest(_graphs(1)[0], L21, engine=ENGINE))
+    assert server.router.to_json()["exact"] == 0
+    assert REGISTRY.value(
+        "repro_router_requests_total", tier="exact"
+    ) == exact_before
+    assert canonicalized == []
+    assert server.stats.submitted == 0
 
 
 # ---------------------------------------------------------------------------
