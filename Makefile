@@ -85,8 +85,8 @@ serve:
 # rate that the server must absorb with ZERO request errors, then scrape
 # /metrics and fail unless the exposition parses under the Prometheus
 # 0.0.4 grammar.  Low rate on purpose — this is a correctness smoke for
-# the wire path on shared runners; the saturation behaviour is measured
-# (not gated) by the network_service perf scenario.
+# the wire path on shared runners; the wire view's end-to-end latency
+# and throughput are measured by servebench/.
 LOAD_SMOKE_RATE ?= 20
 LOAD_SMOKE_SECONDS ?= 2
 

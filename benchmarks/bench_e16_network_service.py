@@ -26,7 +26,7 @@ import urllib.request
 from pathlib import Path
 
 from repro.graphs import generators as gen
-from repro.harness.loadgen import default_payloads, run_load
+from repro.harness.loadgen import default_payload_instances, run_load
 from repro.labeling.spec import L21
 from repro.net import BackgroundServer
 from repro.service.api import LabelingService
@@ -97,7 +97,7 @@ def test_scraped_metrics_parse_and_cover_http_families():
 
 
 def test_bench_open_loop_ramp(benchmark):
-    payloads = default_payloads(count=4, n=12, engine="lk", seed=0)
+    payloads = default_payload_instances(count=4, n=12, engine="lk", seed=0)
     with BackgroundServer(workers=2, offload=False) as server:
         # warm the cache so the timed laps measure wire cost, not solves
         run_load(

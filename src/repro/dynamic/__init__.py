@@ -18,19 +18,17 @@ to the per-mutation :attr:`repro.graphs.graph.Graph.mutation_log`:
 Every fallback to a full recompute is counted by
 :func:`full_apsp_refresh_count`, which the perf baseline gates (the
 ``DYNAMIC`` workload leg's ``full_apsp_refresh_count`` may never rise).
-Entry points: the stateful :class:`DeltaEngine` (sessions, churn loops)
-and the stateless :func:`refresh_analysis` / :func:`apply_delta` behind
-``GraphAnalysis.refresh()`` / ``GraphAnalysis.apply_delta()``.
+Entry point: the stateful :class:`DeltaEngine` — the one repair path,
+used by sessions, churn loops and the ``dynamic`` CLI.  It installs a
+repaired matrix as a graph's memoized oracle with :meth:`DeltaEngine.attach`.
 """
 
 from repro.dynamic.engine import (
     DELETE_FALLBACK_FRACTION,
     DeltaEngine,
     affected_sources,
-    apply_delta,
     distance_rows,
     full_apsp_refresh_count,
-    refresh_analysis,
     relax_insert,
 )
 
@@ -38,9 +36,7 @@ __all__ = [
     "DELETE_FALLBACK_FRACTION",
     "DeltaEngine",
     "affected_sources",
-    "apply_delta",
     "distance_rows",
     "full_apsp_refresh_count",
-    "refresh_analysis",
     "relax_insert",
 ]

@@ -40,8 +40,8 @@ from repro.graphs.analysis import (
 from repro.graphs.graph import Graph, Mutation
 from repro.graphs.traversal import (
     UNREACHABLE,
-    all_pairs_distances,
     distance_rows_csr,
+    distance_rows_dense,
 )
 from repro.obs.metrics import REGISTRY
 
@@ -51,14 +51,6 @@ from repro.obs.metrics import REGISTRY
 #: bookkeeping; below the threshold the partial sweep (which also skips
 #: the adjacency-matrix rebuild the full kernel pays) wins.
 DELETE_FALLBACK_FRACTION = 0.75
-
-#: Vertex count above which :func:`distance_rows` switches from the dense
-#: boolean-matmul expansion to the sparse CSR frontier kernel.  At small n
-#: the matmul's fixed overhead is lower (measured ~7x at n = 48); past a
-#: few hundred vertices the sparse path's edges-actually-traversed cost
-#: wins by an order of magnitude.  Matches the analysis layer's
-#: ``DENSE_MATERIALIZE_LIMIT`` regime switch.
-CSR_ROWS_LIMIT = 256
 
 #: Registry counter of incremental repairs abandoned for a full APSP.
 _FULL_REFRESHES = REGISTRY.counter("repro_full_apsp_refresh_total")
@@ -74,11 +66,6 @@ def full_apsp_refresh_count() -> int:
     call sites and the metrics exposition share one value.
     """
     return int(_FULL_REFRESHES.value)
-
-
-def _count_full_refresh() -> None:
-    """Bump the process-wide abandoned-repair counter."""
-    _FULL_REFRESHES.inc()
 
 
 # ---------------------------------------------------------------------------
@@ -129,47 +116,32 @@ def distance_rows(
 ) -> np.ndarray:
     """Exact BFS distance rows for ``sources`` over boolean adjacency ``adj``.
 
-    Two regimes, crossing over at :data:`CSR_ROWS_LIMIT` vertices.  Small
-    graphs keep the dense expansion — one ``(k, n) @ (n, n)`` boolean
-    product per BFS level, whose fixed overhead is lower than any sparse
-    bookkeeping at that size.  Larger graphs delegate to the sparse CSR
-    frontier kernel (:func:`~repro.graphs.traversal.distance_rows_csr`)
-    after one ``np.nonzero`` pass over the dense adjacency — frontier work
-    is then proportional to the edges actually traversed, which is what
-    keeps large-graph delete repairs off the ``O(k n^2)`` cliff.  Rows come
-    back in ``dtype`` so the engine can repair a narrow matrix without
-    widening it; on the CSR path a level that would overflow promotes to
-    the next wider integer type.
+    Picks one of the two traversal kernels, crossing over at the analysis
+    layer's ``DENSE_MATERIALIZE_LIMIT`` (read at call time).  Small graphs
+    keep the dense expansion
+    (:func:`~repro.graphs.traversal.distance_rows_dense`), whose fixed
+    overhead is lower than any sparse bookkeeping at that size (measured
+    ~7x at n = 48).  Larger graphs delegate to the sparse CSR frontier
+    kernel (:func:`~repro.graphs.traversal.distance_rows_csr`) after one
+    ``np.nonzero`` pass over the dense adjacency — frontier work is then
+    proportional to the edges actually traversed, which is what keeps
+    large-graph delete repairs off the ``O(k n^2)`` cliff.  Rows come back
+    in ``dtype`` so the engine can repair a narrow matrix without widening
+    it; on the CSR path a level that would overflow promotes to the next
+    wider integer type.
     """
     n = adj.shape[0]
-    sources = np.asarray(sources, dtype=np.int64)
-    if n > CSR_ROWS_LIMIT:
-        # np.nonzero walks row-major, so tails arrive grouped by head —
-        # already a valid CSR indices array under the bincount indptr
-        heads, tails = np.nonzero(adj)
-        indptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(heads, minlength=n)))
-        ).astype(np.int64)
-        return distance_rows_csr(
-            indptr, tails.astype(np.int64), sources, n, dtype=dtype
-        )
-    k = sources.shape[0]
-    dist = np.full((k, n), UNREACHABLE, dtype=dtype)
-    if k == 0 or n == 0:
-        return dist
-    dist[np.arange(k), sources] = 0
-    reached = np.zeros((k, n), dtype=bool)
-    reached[np.arange(k), sources] = True
-    frontier = reached.copy()
-    level = 0
-    while True:
-        frontier = (frontier @ adj) & ~reached
-        if not frontier.any():
-            break
-        level += 1
-        dist[frontier] = level
-        reached |= frontier
-    return dist
+    if n <= analysis_mod.DENSE_MATERIALIZE_LIMIT:
+        return distance_rows_dense(adj, sources, dtype=dtype)
+    # np.nonzero walks row-major, so tails arrive grouped by head —
+    # already a valid CSR indices array under the bincount indptr
+    heads, tails = np.nonzero(adj)
+    indptr = np.concatenate(
+        ([0], np.cumsum(np.bincount(heads, minlength=n)))
+    ).astype(np.int64)
+    return distance_rows_csr(
+        indptr, tails.astype(np.int64), sources, n, dtype=dtype
+    )
 
 
 def _pad_vertex(dist: np.ndarray) -> np.ndarray:
@@ -204,34 +176,18 @@ class DeltaEngine:
     """
 
     def __init__(
-        self,
-        graph: Graph,
-        analysis: GraphAnalysis | None = None,
-        delete_fallback_fraction: float = DELETE_FALLBACK_FRACTION,
+        self, graph: Graph, analysis: GraphAnalysis | None = None
     ) -> None:
         """Seed the engine from ``graph``'s (or the given) current analysis."""
-        a = ensure_current(graph, analysis)
-        self.dist = np.array(a.distances, copy=True)
+        self._seed(graph, ensure_current(graph, analysis))
+
+    def _seed(self, graph: Graph, analysis: GraphAnalysis) -> None:
+        """Take ``graph``'s current state, copying ``analysis``'s matrix."""
+        self.dist = np.array(analysis.distances, copy=True)
         self.adj = graph.adjacency_matrix(dtype=np.bool_)
         self.m = graph.m
         self.version = graph.version
         self._lineage_mark = _record_suffix_at(graph, graph.version)
-        self.delete_fallback_fraction = float(delete_fallback_fraction)
-
-    @classmethod
-    def _from_state(
-        cls, dist: np.ndarray, adj: np.ndarray, version: int,
-        lineage_mark: tuple[Mutation, ...],
-    ) -> "DeltaEngine":
-        """Internal: an engine over explicit state (stateless refresh path)."""
-        engine = cls.__new__(cls)
-        engine.dist = dist
-        engine.adj = adj
-        engine.m = int(adj.sum()) // 2
-        engine.version = version
-        engine._lineage_mark = lineage_mark
-        engine.delete_fallback_fraction = DELETE_FALLBACK_FRACTION
-        return engine
 
     @property
     def n(self) -> int:
@@ -308,7 +264,7 @@ class DeltaEngine:
                 touched = affected_sources(self.dist, m.u, m.v)
                 self.adj[m.u, m.v] = self.adj[m.v, m.u] = False
                 self.m -= 1
-                if len(touched) > self.delete_fallback_fraction * self.n:
+                if len(touched) > DELETE_FALLBACK_FRACTION * self.n:
                     return False  # repair would cost ~a full APSP anyway
                 rows = distance_rows(self.adj, touched, dtype=self.dist.dtype)
                 if rows.dtype != self.dist.dtype:
@@ -336,25 +292,11 @@ class DeltaEngine:
 
     def _full_resync(self, graph: Graph) -> None:
         """Abandon incremental repair: rebuild state from the graph (counted)."""
-        _count_full_refresh()
-        cached = graph._analysis
-        if (
-            cached is not None
-            and cached.version == graph.version
-            and cached._distances is not None
-        ):
-            self.dist = np.array(cached._distances, copy=True)
-        elif graph.n <= analysis_mod.DENSE_MATERIALIZE_LIMIT:
-            self.dist = all_pairs_distances(graph)
-        else:
-            # large graphs resync through the blocked oracle: the rebuilt
-            # matrix is assembled from int16 row blocks and memoized on the
-            # graph, instead of a dense int64 kernel run
-            self.dist = np.array(get_analysis(graph).distances, copy=True)
-        self.adj = graph.adjacency_matrix(dtype=np.bool_)
-        self.m = graph.m
-        self.version = graph.version
-        self._lineage_mark = _record_suffix_at(graph, graph.version)
+        _FULL_REFRESHES.inc()
+        # through the graph's memoized oracle: a matrix it already holds is
+        # reused, otherwise it runs the one APSP (dense, or assembled from
+        # int16 row blocks above the dense limit)
+        self._seed(graph, get_analysis(graph))
 
 
 #: How many trailing mutation records the lineage witness compares.  One
@@ -392,136 +334,3 @@ def _marks_agree(a: tuple[Mutation, ...], b: tuple[Mutation, ...]) -> bool:
         return a == b
     k = min(len(a), len(b))
     return a[-k:] == b[-k:]
-
-
-# ---------------------------------------------------------------------------
-# stateless entry points (behind GraphAnalysis.refresh / .apply_delta)
-# ---------------------------------------------------------------------------
-def refresh_analysis(
-    graph: Graph, prior: GraphAnalysis | None = None
-) -> GraphAnalysis:
-    """A current, distance-warm oracle for ``graph`` by delta repair.
-
-    ``prior`` is the analysis to repair from (default: the graph's own
-    memoized one).  A prior without a computed matrix is a cold start —
-    there is nothing to repair, so the ordinary oracle is returned and
-    **not** counted as a fallback.  A prior bound to a different instance
-    is accepted when version continuity holds (the session's
-    copy-then-mutate trials); shape or replay inconsistencies fall back to
-    a counted full recompute.
-
-    The repaired matrix is installed as ``graph``'s memoized oracle, so
-    every downstream layer (applicability, reduction, canonical keys,
-    verification) reuses it for free.
-    """
-    if prior is None:
-        prior = graph._analysis
-    if prior is not None and prior.graph is graph and prior.is_current():
-        return prior
-    if prior is None or prior._distances is None:
-        return get_analysis(graph)
-    if prior.graph is not graph and not _marks_agree(
-        _record_suffix_at(prior.graph, prior.version),
-        _record_suffix_at(graph, prior.version),
-    ):
-        # a cross-instance prior must witness shared lineage: a genuine
-        # copy retains the identical records at/below the prior's version,
-        # so the suffixes agree; a divergent sibling's differ.  Like the
-        # engine's witness this is best-effort — the contract still
-        # requires a same-lineage target.
-        return _counted_full(graph)
-    muts = graph.mutations_since(prior.version)
-    if muts is None or prior._distances.shape[0] + _grown(muts) != graph.n:
-        return _counted_full(graph)
-    if not muts:
-        # same version, witnessed lineage: transplant the matrix verbatim
-        return attach_distances(graph, np.array(prior._distances, copy=True))
-
-    if any(m.op == "remove_edge" for m in muts):
-        adj = _rewind_adjacency(graph, muts)
-        if adj is None or adj.shape[0] != prior._distances.shape[0]:
-            return _counted_full(graph)
-        engine = DeltaEngine._from_state(
-            np.array(prior._distances, copy=True),
-            adj,
-            prior.version,
-            _record_suffix_at(graph, prior.version),
-        )
-        if not engine._replay(graph, muts):
-            return _counted_full(graph)
-        return attach_distances(graph, engine.dist)
-
-    # insert/grow-only gap: no adjacency state needed at all
-    dist = np.array(prior._distances, copy=True)
-    for m in muts:
-        if m.op == "add_vertex":
-            if m.u != dist.shape[0]:
-                return _counted_full(graph)
-            dist = _pad_vertex(dist)
-        else:
-            n = dist.shape[0]
-            if not (0 <= m.u < n and 0 <= m.v < n and m.u != m.v):
-                return _counted_full(graph)
-            relax_insert(dist, m.u, m.v)
-    return attach_distances(graph, dist)
-
-
-def apply_delta(prior: GraphAnalysis, mutation: Mutation) -> GraphAnalysis:
-    """Advance ``prior`` by exactly one mutation of its own graph.
-
-    The single-step flavour of :func:`refresh_analysis`: ``mutation`` must
-    be the one change separating ``prior`` from its graph's current
-    version (the record ``graph.add_edge``/... just appended to the
-    mutation log).
-    """
-    graph = prior.graph
-    muts = graph.mutations_since(prior.version)
-    if muts != (mutation,):
-        raise ValueError(
-            "apply_delta: mutation is not the single change separating this "
-            "analysis from its graph's current version"
-        )
-    return refresh_analysis(graph, prior)
-
-
-def _grown(muts: tuple[Mutation, ...]) -> int:
-    """How many vertex-adds a mutation window contains."""
-    return sum(1 for m in muts if m.op == "add_vertex")
-
-
-def _counted_full(graph: Graph) -> GraphAnalysis:
-    """Counted fallback: a from-scratch, distance-warm oracle."""
-    _count_full_refresh()
-    analysis = get_analysis(graph)
-    analysis.distances  # force the matrix: callers expect a warm oracle
-    return analysis
-
-
-def _rewind_adjacency(
-    graph: Graph, muts: tuple[Mutation, ...]
-) -> np.ndarray | None:
-    """Adjacency as of the version *before* ``muts``, by reverse-applying.
-
-    Walking the records backwards from the graph's current adjacency
-    reconstructs the snapshot the prior matrix describes; any
-    inconsistency (re-adding a present edge, a grown vertex that still has
-    edges at its own add point) returns ``None``.
-    """
-    adj = graph.adjacency_matrix(dtype=np.bool_)
-    for m in reversed(muts):
-        n = adj.shape[0]
-        if m.op == "add_edge":
-            if not (0 <= m.u < n and 0 <= m.v < n) or not adj[m.u, m.v]:
-                return None
-            adj[m.u, m.v] = adj[m.v, m.u] = False
-        elif m.op == "remove_edge":
-            if not (0 <= m.u < n and 0 <= m.v < n) or adj[m.u, m.v]:
-                return None
-            adj[m.u, m.v] = adj[m.v, m.u] = True
-        elif m.op == "add_vertex":
-            if m.u != n - 1 or adj[m.u].any():
-                return None
-            adj = adj[:-1, :-1].copy()
-        else:
-            return None
-    return adj

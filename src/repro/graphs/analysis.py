@@ -19,6 +19,13 @@ The invariant exported to the rest of the codebase:
 Cheap scalar facts (connectivity, degrees, components) are derived without
 touching the APSP, so fail-fast paths — e.g. rejecting a disconnected graph
 — never pay for the full matrix.
+
+This module knows nothing of mutation streams: a mutated graph simply gets
+a fresh analysis.  Repairing the matrix across mutations instead of
+recomputing it is the job of the dynamic layer's ``DeltaEngine``, one layer
+up, which installs its result here through :func:`attach_distances`.  The
+``graphs`` package imports only itself, :mod:`repro.errors` and
+:mod:`repro.obs`.
 """
 
 from __future__ import annotations
@@ -191,7 +198,9 @@ class GraphAnalysis:
     Snapshot semantics: the analysis is bound to ``graph.version`` at
     construction.  Mutating the graph afterwards does not corrupt the
     analysis — it keeps describing the old version — but
-    :func:`get_analysis` will build a fresh one.
+    :func:`get_analysis` will build a fresh one.  A snapshot never advances
+    itself; mutation streams that want the matrix repaired rather than
+    recomputed go through the dynamic layer's ``DeltaEngine``.
 
     Eagerly built (cheap, ``O(n + m)``): CSR adjacency arrays
     (``indptr``/``indices``, neighbour lists sorted), the degree vector and
@@ -246,34 +255,6 @@ class GraphAnalysis:
     def is_current(self) -> bool:
         """True while the underlying graph has not been mutated since."""
         return self.version == self.graph.version
-
-    def refresh(self) -> "GraphAnalysis":
-        """A current analysis for this graph, by incremental delta repair.
-
-        Returns ``self`` while current.  After mutations, delegates to the
-        dynamic layer (:func:`repro.dynamic.refresh_analysis`, imported
-        lazily — the one deliberate upward edge in the layer map), which
-        repairs this analysis's distance matrix through the graph's
-        mutation log instead of recomputing it, falling back to a full
-        APSP only when the gap is unrepairable.  The result is installed
-        as the graph's memoized oracle.
-        """
-        if self.is_current():
-            return self
-        from repro.dynamic import refresh_analysis
-
-        return refresh_analysis(self.graph, prior=self)
-
-    def apply_delta(self, mutation) -> "GraphAnalysis":
-        """Advance this analysis past exactly one logged mutation.
-
-        ``mutation`` must be the single :class:`~repro.graphs.graph.
-        Mutation` separating this snapshot from the graph's current
-        version; see :func:`repro.dynamic.apply_delta`.
-        """
-        from repro.dynamic import apply_delta
-
-        return apply_delta(self, mutation)
 
     def _require_current(self) -> None:
         """Lazy computations must not read a graph that moved on.

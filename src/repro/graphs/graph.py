@@ -16,11 +16,11 @@ import numpy as np
 
 from repro.errors import GraphError
 
-#: How many :class:`Mutation` records a graph retains.  The dynamic layer
-#: (:mod:`repro.dynamic`) only ever replays short gaps — one mutate-and-
-#: resolve step, or a handful of edits on a session trial copy — so a
-#: bounded window keeps edge-by-edge construction of large graphs O(1)
-#: extra memory.  When a requested gap falls off the window,
+#: How many :class:`Mutation` records a graph retains.  The dynamic layer's
+#: ``DeltaEngine`` only ever replays short gaps — one mutate-and-resolve
+#: step, or a handful of edits on a session trial copy — so a bounded
+#: window keeps edge-by-edge construction of large graphs O(1) extra
+#: memory.  When a requested gap falls off the window,
 #: :meth:`Graph.mutations_since` returns ``None`` and callers fall back to
 #: a full recompute.
 MUTATION_LOG_CAPACITY = 512
@@ -128,8 +128,8 @@ class Graph:
         The copy carries over :attr:`version` and the mutation log (it is
         the same structural snapshot), but starts with a **cold** analysis
         oracle — memoization is per instance.  Version continuity is what
-        lets the dynamic layer repair an ancestor's distance matrix across
-        a copy-then-mutate step (see :mod:`repro.dynamic`).
+        lets the dynamic layer's ``DeltaEngine`` repair an ancestor's
+        distance matrix across a copy-then-mutate step.
         """
         g = Graph(self._n)
         g._adj = [set(s) for s in self._adj]

@@ -81,13 +81,33 @@ def all_pairs_distances(graph: Graph) -> np.ndarray:
     directly — the oracle memoizes the result per graph version.
     """
     _APSP_RUNS.inc()
-    n = graph.n
-    dist = np.full((n, n), UNREACHABLE, dtype=np.int64)
-    if n == 0:
+    return distance_rows_dense(
+        graph.adjacency_matrix(dtype=np.bool_), np.arange(graph.n)
+    )
+
+
+def distance_rows_dense(
+    adj: np.ndarray, sources: np.ndarray, dtype=np.int64
+) -> np.ndarray:
+    """BFS distance rows for ``sources`` over a boolean adjacency matrix.
+
+    The dense frontier expansion behind :func:`all_pairs_distances`: all
+    ``len(sources)`` BFS trees advance one level per iteration through one
+    ``(k, n) @ (n, n)`` boolean product.  Rows come back in ``dtype``, which
+    must hold ``n - 1``.  Unreachable pairs hold :data:`UNREACHABLE`.  Does
+    not count toward :func:`apsp_run_count` — the gate for *full*
+    materializations.
+    """
+    n = adj.shape[0]
+    sources = np.asarray(sources, dtype=np.int64)
+    k = sources.shape[0]
+    dist = np.full((k, n), UNREACHABLE, dtype=dtype)
+    if k == 0 or n == 0:
         return dist
-    np.fill_diagonal(dist, 0)
-    adj = graph.adjacency_matrix(dtype=np.bool_)
-    reached = np.eye(n, dtype=bool)
+    seeds = (np.arange(k), sources)
+    dist[seeds] = 0
+    reached = np.zeros((k, n), dtype=bool)
+    reached[seeds] = True
     frontier = reached.copy()
     level = 0
     while True:
@@ -124,7 +144,7 @@ def distance_rows_csr(
     The row-block substrate of the lazy distance oracle: all ``len(sources)``
     BFS trees advance one level per iteration, with the frontier kept as a
     sparse ``(row, vertex)`` pair list instead of the dense boolean matrix
-    :func:`all_pairs_distances` uses — memory is ``O(block_rows * n)``, not
+    :func:`distance_rows_dense` uses — memory is ``O(block_rows * n)``, not
     ``O(n^2)``.  Rows come back in ``dtype`` (default ``int16``); if a level
     would overflow it, the block promotes to the next wider integer type and
     ``repro_oracle_promotions_total`` is incremented.  Unreachable pairs

@@ -13,18 +13,18 @@ recorded numbers instead of silently flattening the offered load.
 A run sweeps a list of offered rates (a ramp), holds each for a fixed
 duration, and emits one :class:`StepReport` per step — p50/p95/p99
 latency, achieved rps, error rate — which together form the saturation
-curve the ``network_service`` perf scenario records into
-``BENCH_<k>.json``.
+curve ``repro-label load`` reports.  The ``qos_overload`` perf scenario
+runs one overload step of it.
 
 Outcomes are three-valued, mirroring the server's QoS ladder: a 200 is
 ``completed``, a 429 (queue full) or 504 (deadline expired) is
 ``dropped`` — intentional shedding, never counted in ``error_rate`` — and
 everything else (bad status, timeout, socket failure, unparseable or
-infeasible body) is an ``error``.  Payloads built through
-:func:`default_payload_instances` carry their instance, so every 200
-response's labeling is re-verified feasible on the client side; a wire
-answer that violates its own constraints counts as ``infeasible``, which
-fails ``load --fail-on-errors`` exactly like an error.
+infeasible body) is an ``error``.  Every payload is a
+:class:`PayloadInstance` carrying its instance, so every 200 response's
+labeling is re-verified feasible on the client side; a wire answer that
+violates its own constraints counts as ``infeasible``, which fails
+``load --fail-on-errors`` exactly like an error.
 
 Every request opens its own TCP connection and POSTs one pre-serialized
 :class:`~repro.service.protocol.SolveRequest` to ``/solve``, so each
@@ -111,18 +111,6 @@ def default_payload_instances(
             )
         )
     return payloads
-
-
-def default_payloads(
-    count: int = 4, n: int = 12, engine: str = "lk", seed: int = 0
-) -> list[bytes]:
-    """The historical bytes-only payload pool (no client-side verification)."""
-    return [
-        p.body
-        for p in default_payload_instances(
-            count=count, n=n, engine=engine, seed=seed
-        )
-    ]
 
 
 @dataclass(frozen=True)
@@ -230,12 +218,12 @@ async def _exchange(host: str, port: int, payload: bytes) -> tuple[int, bytes]:
 
 
 def _classify(
-    status: int, body: bytes, payload: PayloadInstance | bytes
+    status: int, body: bytes, payload: PayloadInstance
 ) -> tuple[str, bool]:
     """``(kind, approx)`` for one wire outcome.
 
     ``kind`` is one of ``ok`` / ``dropped`` / ``infeasible`` / ``error``;
-    feasibility is only checked when the payload carries its instance.
+    a 200's labeling is checked against the payload's instance.
     """
     if status in DROP_STATUSES:
         return "dropped", False
@@ -244,10 +232,9 @@ def _classify(
     try:
         record = json.loads(body)
         approx = record.get("tier") == "approx"
-        if isinstance(payload, PayloadInstance):
-            labeling = Labeling.from_sequence(record["labels"])
-            if not labeling.is_feasible(payload.graph, payload.spec):
-                return "infeasible", approx
+        labeling = Labeling.from_sequence(record["labels"])
+        if not labeling.is_feasible(payload.graph, payload.spec):
+            return "infeasible", approx
     except (ValueError, KeyError, TypeError, ReproError):
         return "error", False
     return "ok", approx
@@ -256,16 +243,15 @@ def _classify(
 async def _one_request(
     host: str,
     port: int,
-    payload: PayloadInstance | bytes,
+    payload: PayloadInstance,
     timeout: float,
 ) -> tuple[str, float, bool]:
     """Fire one ``/solve`` over a fresh connection; ``(kind, latency, approx)``."""
     loop = asyncio.get_running_loop()
-    body = payload.body if isinstance(payload, PayloadInstance) else payload
     t0 = loop.time()
     try:
         status, reply = await asyncio.wait_for(
-            _exchange(host, port, body), timeout=timeout
+            _exchange(host, port, payload.body), timeout=timeout
         )
     except (ReproError, ConnectionError, OSError, TimeoutError,
             asyncio.TimeoutError, asyncio.IncompleteReadError):
@@ -280,7 +266,7 @@ async def _run_step(
     port: int,
     rate: float,
     duration: float,
-    payloads: list,
+    payloads: list[PayloadInstance],
     rng: np.random.Generator,
     timeout: float,
 ) -> StepReport:
@@ -337,15 +323,14 @@ async def run_ramp(
     port: int,
     rates: list[float],
     duration: float = 2.0,
-    payloads: list | None = None,
+    payloads: list[PayloadInstance] | None = None,
     seed: int = 0,
     timeout: float = REQUEST_TIMEOUT,
 ) -> LoadReport:
     """Sweep the offered rates in order; one :class:`StepReport` each.
 
-    ``payloads`` may hold raw ``bytes`` bodies or
-    :class:`PayloadInstance` objects; the latter enable client-side
-    feasibility verification of every 200 response.
+    ``payloads`` defaults to :func:`default_payload_instances` at ``seed``;
+    every 200 response is verified feasible against its payload's instance.
     """
     if not rates or any(r <= 0 for r in rates):
         raise ReproError(f"rates must be positive, got {rates}")
@@ -365,7 +350,7 @@ def run_load(
     url: str,
     rates: list[float],
     duration: float = 2.0,
-    payloads: list | None = None,
+    payloads: list[PayloadInstance] | None = None,
     seed: int = 0,
     timeout: float = REQUEST_TIMEOUT,
 ) -> LoadReport:

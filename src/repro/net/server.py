@@ -374,8 +374,8 @@ class BackgroundServer:
     """A :class:`NetworkServer` on its own daemon thread and event loop.
 
     Synchronous callers (tests, benchmarks, the perf suite's
-    ``network_service`` scenario, ``repro-label load`` self-serve mode)
-    get a live TCP port without touching asyncio:
+    ``qos_overload`` scenario, ``repro-label load`` self-serve mode) get a
+    live TCP port without touching asyncio:
 
     constructor starts the loop + server and blocks until the socket is
     bound; :meth:`shutdown` runs the graceful drain on the loop and joins

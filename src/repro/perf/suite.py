@@ -506,69 +506,6 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     )
 
 
-def network_service_scenario(quick: bool, repeats: int) -> PerfRecord:
-    """The wire leg: open-loop saturation curve through the HTTP front end.
-
-    Starts a real :class:`~repro.net.server.BackgroundServer` (TCP socket,
-    asyncio event loop, inline solves) and sweeps a seeded open-loop ramp
-    against ``POST /solve`` — three offered-rps steps held for a fixed
-    window each, arrivals Poisson and never waiting on responses, so
-    queueing delay lands in the recorded percentiles instead of silently
-    throttling the sender (:mod:`repro.harness.loadgen`).
-
-    Each rate step contributes flat metrics — ``p50/p95/p99_ms_r<rate>``,
-    ``err_rate_r<rate>``, ``achieved_rps_r<rate>`` — the saturation curve
-    as the trajectory records it.  ``wall_seconds`` holds the per-step
-    walls (send window plus tail drain).  No gate applies: 429s at the
-    overload end of the ramp are the backpressure design working, and the
-    curve's whole point is to show where they start.
-
-    ``repeats`` is accepted for signature symmetry but the ramp runs once:
-    every step already aggregates hundreds of requests, and the quick/full
-    variants are distinct experiments (different rates) so the comparator
-    never mixes them.
-    """
-    del repeats
-    from repro.harness.loadgen import default_payloads, run_load
-    from repro.net.server import BackgroundServer
-
-    rates = [20.0, 60.0, 120.0] if quick else [50.0, 100.0, 200.0]
-    duration = 0.75 if quick else 1.5
-    server = BackgroundServer(workers=2, offload=False)
-    try:
-        # one warm lap: the measured steps then exercise the steady state
-        run_load(server.url, rates=[10.0], duration=0.5, seed=7)
-        report = run_load(server.url, rates=rates, duration=duration, seed=7,
-                          payloads=default_payloads(seed=7))
-    finally:
-        server.shutdown(drain=True)
-
-    walls = []
-    metrics: dict[str, float | int] = {
-        "steps": len(report.steps),
-        "total_sent": report.total_sent,
-        "total_errors": report.total_errors,
-    }
-    for step in report.steps:
-        rate = int(step.offered_rps)
-        walls.append(
-            step.completed / step.achieved_rps
-            if step.achieved_rps > 0 else step.duration
-        )
-        metrics[f"p50_ms_r{rate}"] = step.p50_ms
-        metrics[f"p95_ms_r{rate}"] = step.p95_ms
-        metrics[f"p99_ms_r{rate}"] = step.p99_ms
-        metrics[f"err_rate_r{rate}"] = round(step.error_rate, 4)
-        metrics[f"achieved_rps_r{rate}"] = round(step.achieved_rps, 2)
-    return PerfRecord(
-        # rate-suffixed variant: quick and full ramps sweep different
-        # offered rates and must never share a baseline entry
-        experiment=f"network_service:{'quick' if quick else 'full'}",
-        wall_seconds=tuple(walls),
-        metrics=metrics,
-    )
-
-
 def qos_overload_scenario(quick: bool, repeats: int) -> PerfRecord:
     """The degraded-tier leg: certified approx quality plus a live overload.
 
@@ -693,7 +630,6 @@ def run_perf_suite(
         service_cache_scenario(quick, repeats),
         dynamic_churn_scenario(quick, repeats),
         concurrent_service_scenario(quick, repeats),
-        network_service_scenario(quick, repeats),
         qos_overload_scenario(quick, repeats),
     ]
     records.extend(

@@ -112,6 +112,18 @@ _TIER_SECONDS = {
 }
 
 
+#: Fraction of the queue's high-water mark past which ``auto`` requests
+#: degrade to the approx tier.
+APPROX_PRESSURE = 0.5
+
+#: ``auto`` instances above this vertex count always go approx — an exact
+#: engine run on them would monopolize a worker.
+LARGE_N = 256
+
+#: ``auto`` requests with less remaining budget than this go approx.
+MIN_EXACT_DEADLINE_MS = 250
+
+
 @dataclass
 class QosRouter:
     """Per-request quality-of-service tier selection under pressure.
@@ -131,13 +143,6 @@ class QosRouter:
 
     #: The serving queue's high-water mark (the 429 threshold).
     queue_size: int
-    #: Fraction of ``queue_size`` past which ``auto`` degrades to approx.
-    approx_pressure: float = 0.5
-    #: ``auto`` instances above this vertex count always go approx — an
-    #: exact engine run on them would monopolize a worker.
-    large_n: int = 256
-    #: ``auto`` requests with less remaining budget than this go approx.
-    min_exact_deadline_ms: int = 250
     exact: int = 0
     approx: int = 0
     #: ``auto`` requests downgraded to approx (subset of ``approx``).
@@ -151,7 +156,7 @@ class QosRouter:
     @property
     def approx_depth(self) -> int:
         """Queue depth at which ``auto`` requests start degrading."""
-        return max(1, int(self.approx_pressure * self.queue_size))
+        return max(1, int(APPROX_PRESSURE * self.queue_size))
 
     def route(self, request: SolveRequest, queue_depth: int) -> str:
         """Pick the answering tier for one request (and count the decision)."""
@@ -160,10 +165,10 @@ class QosRouter:
         else:
             downgraded = (
                 queue_depth >= self.approx_depth
-                or request.graph.n > self.large_n
+                or request.graph.n > LARGE_N
                 or (
                     request.deadline_ms is not None
-                    and request.deadline_ms < self.min_exact_deadline_ms
+                    and request.deadline_ms < MIN_EXACT_DEADLINE_MS
                 )
             )
             tier = "approx" if downgraded else "exact"
@@ -191,8 +196,8 @@ class QosRouter:
                 "degraded": self.degraded,
                 "expired": self.expired,
                 "approx_depth": self.approx_depth,
-                "large_n": self.large_n,
-                "min_exact_deadline_ms": self.min_exact_deadline_ms,
+                "large_n": LARGE_N,
+                "min_exact_deadline_ms": MIN_EXACT_DEADLINE_MS,
             }
 
 

@@ -18,10 +18,8 @@ from repro.dynamic import (
     DELETE_FALLBACK_FRACTION,
     DeltaEngine,
     affected_sources,
-    apply_delta,
     distance_rows,
     full_apsp_refresh_count,
-    refresh_analysis,
     relax_insert,
 )
 from repro.errors import ReductionNotApplicableError
@@ -124,13 +122,29 @@ class TestKernels:
             assert np.array_equal(before[unchanged], after[unchanged])
             g.add_edge(u, v)
 
-    def test_distance_rows_matches_reference(self):
-        g = gen.petersen_graph()
+    @pytest.mark.parametrize("sources", [[0, 3, 7], []], ids=["rows", "empty"])
+    @pytest.mark.parametrize(
+        "dtype", [np.int64, np.int16], ids=["int64", "int16"]
+    )
+    @pytest.mark.parametrize("shape", ["connected", "disconnected"])
+    @pytest.mark.parametrize("regime", ["dense", "csr"])
+    def test_distance_rows_matches_reference(
+        self, monkeypatch, regime, shape, dtype, sources
+    ):
+        if regime == "csr":  # every n is above the limit: CSR kernel
+            monkeypatch.setattr(
+                "repro.graphs.analysis.DENSE_MATERIALIZE_LIMIT", 0
+            )
+        if shape == "connected":
+            g = gen.petersen_graph()
+        else:  # a path, a triangle and an isolated vertex
+            g = Graph(8, [(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (4, 6)])
         adj = g.adjacency_matrix(dtype=np.bool_)
+        sources = np.array(sources, dtype=np.int64)
+        rows = distance_rows(adj, sources, dtype=dtype)
+        assert rows.dtype == dtype and rows.shape == (len(sources), g.n)
         ref = all_pairs_distances_reference(g)
-        sources = np.array([0, 3, 7])
-        assert np.array_equal(distance_rows(adj, sources), ref[sources])
-        assert distance_rows(adj, np.array([], dtype=np.int64)).shape == (0, g.n)
+        assert np.array_equal(rows, ref[sources])
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +229,14 @@ class TestDeltaEngineStreams:
         assert np.array_equal(dist, all_pairs_distances_reference(g))
         assert dist[0, 5] == -1
 
-    def test_over_threshold_delete_falls_back_and_stays_exact(self):
+    def test_over_threshold_delete_falls_back_and_stays_exact(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(
+            "repro.dynamic.engine.DELETE_FALLBACK_FRACTION", 0.1
+        )
         g = gen.complete_graph(8)  # every row touches every edge
-        engine = DeltaEngine(g, delete_fallback_fraction=0.1)
+        engine = DeltaEngine(g)
         before = full_apsp_refresh_count()
         g.remove_edge(0, 1)
         _assert_engine_matches(engine, g)
@@ -249,18 +268,6 @@ class TestDeltaEngineStreams:
         assert np.array_equal(dist, all_pairs_distances_reference(t2))
         assert dist[0, 2] == 2  # t1's chord must not leak into t2's matrix
 
-    def test_divergent_sibling_transplant_resyncs(self):
-        g = gen.cycle_graph(6)
-        a = get_analysis(g)
-        a.distances
-        sibling = g.copy()
-        sibling.add_edge(0, 3)
-        twin = g.copy()
-        twin.add_edge(1, 4)
-        warm = refresh_analysis(sibling, prior=a)
-        b = refresh_analysis(twin, prior=warm)  # wrong lineage at same version
-        assert np.array_equal(b.distances, all_pairs_distances_reference(twin))
-
     def test_unrelated_graphs_with_matching_last_record_resync(self):
         # two independent graphs can coincide on their single newest
         # record; the suffix witness must still tell them apart
@@ -275,11 +282,6 @@ class TestDeltaEngineStreams:
         dist = engine.refresh(g2)
         assert np.array_equal(dist, all_pairs_distances_reference(g2))
         assert dist[0, 2] == 2 and dist[3, 4] == 1
-
-        a1 = get_analysis(g1)
-        a1.distances
-        b = refresh_analysis(g2, prior=a1)
-        assert np.array_equal(b.distances, all_pairs_distances_reference(g2))
 
     def test_foreign_graph_resyncs_instead_of_corrupting(self):
         g = gen.cycle_graph(6)
@@ -307,104 +309,7 @@ class TestDeltaEngineStreams:
 
 
 # ---------------------------------------------------------------------------
-# 4. GraphAnalysis.refresh / apply_delta
-# ---------------------------------------------------------------------------
-class TestAnalysisRefresh:
-    def test_refresh_repairs_in_place_without_apsp(self):
-        g = gen.random_connected_gnp(10, 0.4, seed=9)
-        a = get_analysis(g)
-        a.distances
-        before = apsp_run_count()
-        g.add_edge(*next(
-            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ))
-        b = a.refresh()
-        assert b.is_current() and get_analysis(g) is b
-        assert np.array_equal(b.distances, all_pairs_distances_reference(g))
-        assert apsp_run_count() == before
-
-    def test_refresh_is_identity_when_current(self):
-        g = gen.cycle_graph(5)
-        a = get_analysis(g)
-        assert a.refresh() is a
-
-    def test_refresh_handles_delete_gap(self):
-        g = gen.complete_graph(6)
-        a = get_analysis(g)
-        a.distances
-        g.remove_edge(0, 1)
-        g.add_edge(0, 1)
-        g.remove_edge(2, 3)
-        b = a.refresh()
-        assert np.array_equal(b.distances, all_pairs_distances_reference(g))
-
-    def test_refresh_without_distances_is_a_cold_start(self):
-        g = gen.cycle_graph(6)
-        a = get_analysis(g)  # matrix never computed
-        g.add_edge(0, 2)
-        before = full_apsp_refresh_count()
-        b = a.refresh()
-        assert np.array_equal(b.distances, all_pairs_distances_reference(g))
-        assert full_apsp_refresh_count() == before  # not counted as fallback
-
-    def test_apply_delta_single_step(self):
-        g = gen.path_graph(5)
-        a = get_analysis(g)
-        a.distances
-        g.add_edge(0, 4)
-        b = a.apply_delta(g.mutation_log[-1])
-        assert np.array_equal(b.distances, all_pairs_distances_reference(g))
-
-    def test_apply_delta_rejects_wrong_gap(self):
-        g = gen.path_graph(5)
-        a = get_analysis(g)
-        a.distances
-        g.add_edge(0, 4)
-        g.add_edge(1, 3)
-        with pytest.raises(ValueError, match="single change"):
-            a.apply_delta(g.mutation_log[-1])
-
-    def test_transplant_across_copy(self):
-        g = gen.random_connected_gnp(9, 0.4, seed=2)
-        a = get_analysis(g)
-        a.distances
-        trial = g.copy()
-        trial.add_edge(*next(
-            (u, v) for u in range(g.n) for v in range(u + 1, g.n)
-            if not g.has_edge(u, v)
-        ))
-        before = apsp_run_count()
-        b = refresh_analysis(trial, prior=a)
-        assert b.graph is trial and b.is_current()
-        assert np.array_equal(b.distances, all_pairs_distances_reference(trial))
-        assert apsp_run_count() == before
-
-    def test_transplant_same_version_copies_matrix(self):
-        g = gen.cycle_graph(7)
-        a = get_analysis(g)
-        a.distances
-        twin = g.copy()
-        b = refresh_analysis(twin, prior=a)
-        assert b.graph is twin
-        assert np.array_equal(b.distances, a.distances)
-        assert b.distances is not a.distances  # independent storage
-
-    def test_bad_transplant_falls_back(self):
-        g = gen.cycle_graph(6)
-        a = get_analysis(g)
-        a.distances
-        stranger = gen.star_graph(9)  # wrong shape, no shared lineage
-        before = full_apsp_refresh_count()
-        b = refresh_analysis(stranger, prior=a)
-        assert np.array_equal(
-            b.distances, all_pairs_distances_reference(stranger)
-        )
-        assert full_apsp_refresh_count() == before + 1
-
-
-# ---------------------------------------------------------------------------
-# 5. session fast path
+# 4. session fast path
 # ---------------------------------------------------------------------------
 class TestSessionFastPath:
     def test_mutations_run_zero_apsp(self):
@@ -459,7 +364,7 @@ class TestSessionFastPath:
 
 
 # ---------------------------------------------------------------------------
-# 6. perf scenario + CLI
+# 5. perf scenario + CLI
 # ---------------------------------------------------------------------------
 class TestDynamicPerfAndCli:
     def test_scenario_emits_gated_metric(self):
@@ -516,7 +421,7 @@ class TestDynamicPerfAndCli:
 
 
 # ---------------------------------------------------------------------------
-# 7. attach_distances interaction
+# 6. attach_distances interaction
 # ---------------------------------------------------------------------------
 def test_attach_distances_keeps_connectivity_semantics():
     g = gen.path_graph(5)

@@ -14,6 +14,9 @@ Three layers of guarantees:
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -28,6 +31,7 @@ from repro.graphs.traversal import (
     apsp_run_count,
     bfs_distances,
     diameter,
+    distance_rows_dense,
     eccentricities,
     eccentricity,
     radius,
@@ -88,6 +92,17 @@ def test_apsp_rows_match_single_source_bfs(random_connected_graphs):
         d = all_pairs_distances(g)
         for s in range(g.n):
             assert np.array_equal(d[s], bfs_distances(g, s))
+
+
+def test_partial_distance_rows_are_not_an_apsp_run():
+    g = gen.petersen_graph()
+    adj = g.adjacency_matrix(dtype=np.bool_)
+    before = apsp_run_count()
+    rows = distance_rows_dense(adj, np.array([2, 5]))
+    assert apsp_run_count() == before  # only full matrices count
+    assert np.array_equal(rows, all_pairs_distances_reference(g)[[2, 5]])
+    all_pairs_distances(g)
+    assert apsp_run_count() == before + 1
 
 
 # ---------------------------------------------------------------------------
@@ -323,3 +338,34 @@ def test_cli_stats_disconnected(tmp_path, capsys):
     record = json.loads(capsys.readouterr().out)
     assert record["components"] == 2
     assert record["diameter"] is None and record["radius"] is None
+
+
+# ---------------------------------------------------------------------------
+# 6. layering
+# ---------------------------------------------------------------------------
+def test_graphs_package_imports_only_lower_layers():
+    """``repro.graphs`` is the bottom layer: no import reaches upward.
+
+    Walks every import statement, function-level ones included, so a lazy
+    ``from repro.dynamic import ...`` inside a method is caught too.
+    """
+    import repro.graphs
+
+    allowed = ("repro.graphs", "repro.errors", "repro.obs")
+    offenders = []
+    for path in sorted(Path(repro.graphs.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                assert node.level == 0, f"relative import in {path.name}"
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                internal = name == "repro" or name.startswith("repro.")
+                if internal and not any(
+                    name == a or name.startswith(a + ".") for a in allowed
+                ):
+                    offenders.append(f"{path.name}:{node.lineno} {name}")
+    assert not offenders, offenders

@@ -109,6 +109,7 @@ def test_router_policy_matrix():
     # explicit-approx requests are honored, not "degraded"
     assert state["degraded"] == 3
     assert state["approx_depth"] == 4
+    assert state["large_n"] == 256 and state["min_exact_deadline_ms"] == 250
 
 
 def test_wire_codes_for_shedding():
@@ -301,10 +302,11 @@ def test_mid_stream_crash_still_resolves_every_public_future():
 # loadgen dropped-accounting
 # ---------------------------------------------------------------------------
 def test_classify_drop_statuses_are_not_errors():
+    inst = PayloadInstance(body=b"{}", graph=Graph(2, [(0, 1)]), spec=L21)
     for status in (429, 504):
-        assert _classify(status, b"{}", b"raw") == ("dropped", False)
-    assert _classify(500, b"{}", b"raw") == ("error", False)
-    assert _classify(200, b"not json", b"raw") == ("error", False)
+        assert _classify(status, b"{}", inst) == ("dropped", False)
+    assert _classify(500, b"{}", inst) == ("error", False)
+    assert _classify(200, b"not json", inst) == ("error", False)
 
 
 def test_classify_verifies_feasibility_only_with_instance():
@@ -313,8 +315,8 @@ def test_classify_verifies_feasibility_only_with_instance():
     bad = b'{"labels": [0, 0], "tier": "exact"}'
     assert _classify(200, ok, inst) == ("ok", True)
     assert _classify(200, bad, inst) == ("infeasible", False)
-    # bytes payloads carry no instance: no verification, approx flag only
-    assert _classify(200, bad, b"raw") == ("ok", False)
+    # a 200 without a labeling cannot be verified: an error, not an "ok"
+    assert _classify(200, b'{"tier": "exact"}', inst) == ("error", False)
 
 
 def test_step_report_separates_drops_from_errors():
