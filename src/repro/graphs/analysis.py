@@ -43,7 +43,7 @@ from repro.graphs.traversal import (
     distance_rows_csr,
     is_connected,
 )
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 
 #: Largest ``n`` for which :attr:`GraphAnalysis.distances` runs the dense
 #: ``int64`` APSP kernel directly.  Above it, row access goes through the
@@ -61,12 +61,14 @@ DEFAULT_BLOCK_ROWS = 64
 #: Default resident-bytes budget for one oracle's row-block LRU (32 MiB).
 DEFAULT_ORACLE_BUDGET_BYTES = 32 * 2**20
 
-_ORACLE_HITS = REGISTRY.counter("repro_oracle_block_hits_total")
-_ORACLE_HITS.labels()
-_ORACLE_MISSES = REGISTRY.counter("repro_oracle_block_misses_total")
-_ORACLE_MISSES.labels()
-_ORACLE_EVICTIONS = REGISTRY.counter("repro_oracle_block_evictions_total")
-_ORACLE_EVICTIONS.labels()
+#: Registry children behind every oracle's block counts.
+_ORACLE_COUNTERS = {
+    "hits": REGISTRY.counter("repro_oracle_block_hits_total").labels(),
+    "misses": REGISTRY.counter("repro_oracle_block_misses_total").labels(),
+    "evictions": REGISTRY.counter(
+        "repro_oracle_block_evictions_total"
+    ).labels(),
+}
 _ORACLE_PEAK = REGISTRY.gauge("repro_oracle_peak_bytes")
 _ORACLE_PEAK.labels()
 
@@ -80,9 +82,9 @@ class LazyDistanceOracle:
     (promoted when a level overflows), and held in an LRU bounded by
     :attr:`budget_bytes`.  Resident bytes never exceed the budget unless a
     single block is itself larger — the one block being served is never
-    evicted.  All blocks are read-only; hit/miss/eviction counts and the
-    peak-resident-bytes high-water mark are mirrored to the
-    ``repro_oracle_*`` registry metrics.
+    evicted.  All blocks are read-only; ``counters`` holds the block
+    hits, misses and evictions, and the peak-resident-bytes high-water
+    mark is mirrored to the ``repro_oracle_peak_bytes`` gauge.
     """
 
     __slots__ = (
@@ -92,9 +94,7 @@ class LazyDistanceOracle:
         "_blocks",
         "resident_bytes",
         "peak_bytes",
-        "hits",
-        "misses",
-        "evictions",
+        "counters",
     )
 
     def __init__(
@@ -110,9 +110,7 @@ class LazyDistanceOracle:
         self._blocks: OrderedDict[int, np.ndarray] = OrderedDict()
         self.resident_bytes = 0
         self.peak_bytes = 0
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        self.counters = CounterSet(_ORACLE_COUNTERS)
 
     @property
     def block_count(self) -> int:
@@ -124,11 +122,9 @@ class LazyDistanceOracle:
         blk = self._blocks.get(b)
         if blk is not None:
             self._blocks.move_to_end(b)
-            self.hits += 1
-            _ORACLE_HITS.inc()
+            self.counters.add(hits=1)
             return blk
-        self.misses += 1
-        _ORACLE_MISSES.inc()
+        self.counters.add(misses=1)
         a = self.analysis
         a._require_current()
         n = a.n
@@ -144,8 +140,7 @@ class LazyDistanceOracle:
         while self._blocks and self.resident_bytes + blk.nbytes > self.budget_bytes:
             _, old = self._blocks.popitem(last=False)
             self.resident_bytes -= old.nbytes
-            self.evictions += 1
-            _ORACLE_EVICTIONS.inc()
+            self.counters.add(evictions=1)
         self._blocks[b] = blk
         self.resident_bytes += blk.nbytes
         if self.resident_bytes > self.peak_bytes:
@@ -178,17 +173,16 @@ class LazyDistanceOracle:
 
     def stats(self) -> dict:
         """Counters + knobs snapshot: hits, misses, evictions, bytes, rate."""
-        lookups = self.hits + self.misses
+        counts = self.counters.snapshot()
+        lookups = counts["hits"] + counts["misses"]
         return {
             "block_rows": self.block_rows,
             "budget_bytes": self.budget_bytes,
             "resident_bytes": self.resident_bytes,
             "peak_bytes": self.peak_bytes,
             "resident_blocks": len(self._blocks),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "hit_rate": (self.hits / lookups) if lookups else 0.0,
+            **counts,
+            "hit_rate": (counts["hits"] / lookups) if lookups else 0.0,
         }
 
 

@@ -530,6 +530,48 @@ class MetricsRegistry:
         return cls.from_json(data)
 
 
+class CounterSet:
+    """Per-instance counts, each also feeding one registry counter child.
+
+    The one path by which an object's own stats (server, router, cache,
+    oracle, pool) reach the exposition: :meth:`add` bumps counts in one
+    critical section, then each child by the same delta.
+
+    >>> r = MetricsRegistry()
+    >>> c = CounterSet({"hits": r.counter("demo_hits_total").labels()})
+    >>> c.add(hits=2)
+    >>> c["hits"], c.snapshot(), r.value("demo_hits_total")
+    (2, {'hits': 2}, 2.0)
+    """
+
+    def __init__(self, children: dict) -> None:
+        """Zeroed counts, one per ``name -> registry counter child``."""
+        self._lock = threading.Lock()
+        self._children = dict(children)
+        self._counts = dict.fromkeys(self._children, 0)
+
+    def add(self, **deltas: int) -> None:
+        """Atomically bump the named counts, then their registry children."""
+        unknown = deltas.keys() - self._counts.keys()
+        if unknown:
+            raise ReproError(f"unknown counters: {sorted(unknown)}")
+        with self._lock:
+            for name, delta in deltas.items():
+                self._counts[name] += delta
+        for name, delta in deltas.items():
+            self._children[name].inc(delta)
+
+    def __getitem__(self, name: str) -> int:
+        """One count."""
+        with self._lock:
+            return self._counts[name]
+
+    def snapshot(self) -> dict:
+        """Every count, read under the one lock, in construction order."""
+        with self._lock:
+            return dict(self._counts)
+
+
 #: The process-wide default registry, pre-seeded with the full catalogue.
 REGISTRY = MetricsRegistry(preregister=CATALOG)
 

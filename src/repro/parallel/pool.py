@@ -36,15 +36,13 @@ from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 import numpy as np
 
 from repro.errors import ReproError, WorkerCrashedError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import TRACER, SpanContext
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-_M_RESTARTS = REGISTRY.counter("repro_pool_worker_restarts_total")
-_M_RESTARTS.labels()
-_M_DISPATCH = REGISTRY.counter("repro_pool_dispatch_total")
+_RESTARTS = REGISTRY.counter("repro_pool_worker_restarts_total").labels()
 _M_IMBALANCE = REGISTRY.gauge("repro_pool_route_imbalance")
 _M_IMBALANCE.labels()
 
@@ -214,7 +212,8 @@ class WorkerPool:
     A call takes the longest-idle worker (a FIFO of slot indices), sends it
     ``(buffers, job)`` and reads the reply on the calling thread; with
     every worker busy, callers wait for one to come back.  The pool starts
-    no thread of its own.
+    no thread of its own.  ``counters`` holds ``restarts`` plus one
+    dispatch count per slot, named by the slot index.
 
     Parameters
     ----------
@@ -233,15 +232,14 @@ class WorkerPool:
         self._ctx = get_context(start_method)
         self._cond = threading.Condition()
         self._closing = False
-        self._restarts = 0
+        dispatch = REGISTRY.counter("repro_pool_dispatch_total")
+        self.counters = CounterSet({"restarts": _RESTARTS} | {
+            str(i): dispatch.labels(worker=str(i)) for i in range(workers)
+        })
         #: Consecutive deaths-before-ready per slot: a worker that cannot
         #: even start (broken environment, import failure) must not be
         #: respawned forever — at the cap the slot is retired.
         self._early_deaths = [0] * workers
-        self._dispatched = [0] * workers
-        self._m_dispatch = [
-            _M_DISPATCH.labels(worker=str(i)) for i in range(workers)
-        ]
         _M_IMBALANCE.set_function(
             lambda pool: pool.route_imbalance(), owner=self
         )
@@ -287,22 +285,19 @@ class WorkerPool:
 
     @property
     def restart_count(self) -> int:
-        """Workers respawned after dying (mirrors the restarts counter)."""
-        with self._cond:
-            return self._restarts
+        """Workers respawned after dying."""
+        return self.counters["restarts"]
 
     def dispatch_counts(self) -> list[int]:
         """Calls dispatched per worker slot over the pool's lifetime."""
-        with self._cond:
-            return list(self._dispatched)
+        counts = self.counters.snapshot()
+        return [counts[str(i)] for i in range(self.workers)]
 
     def route_imbalance(self) -> float:
         """Max-over-mean dispatch count (1.0 = perfectly balanced)."""
-        with self._cond:
-            total = sum(self._dispatched)
-            if not total:
-                return 1.0
-            return max(self._dispatched) / (total / self.workers)
+        dispatched = self.dispatch_counts()
+        total = sum(dispatched)
+        return max(dispatched) / (total / self.workers) if total else 1.0
 
     # ------------------------------------------------------------------
     def solve(self, buffers: dict[str, np.ndarray], job: tuple) -> tuple:
@@ -329,9 +324,7 @@ class WorkerPool:
         slot = self._checkout()
         try:
             worker = self._usable(slot)
-            with self._cond:
-                self._dispatched[slot] += 1
-            self._m_dispatch[slot].inc()
+            self.counters.add(**{str(slot): 1})
             try:
                 worker.conn.send(message)
                 reply = worker.conn.recv()
@@ -429,12 +422,11 @@ class WorkerPool:
                 self._cond.notify_all()  # waiters re-check for live slots
             else:
                 self._slots[slot] = self._spawn()
-                self._restarts += 1
+                self.counters.add(restarts=1)
         dead.conn.close()
         dead.proc.join(timeout=1.0)
         if error is not None:
             raise WorkerCrashedError(error)
-        _M_RESTARTS.inc()
 
     # ------------------------------------------------------------------
     def shutdown(self) -> None:

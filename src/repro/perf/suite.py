@@ -391,14 +391,9 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     the stream, not of scheduling), and the gated ``shard_lock_wait``
     contention rate, which the baseline comparator never allows to rise.
 
-    Both of those gated values are sourced from the observability registry
-    (:data:`repro.obs.REGISTRY`): the hit rate from counter deltas
-    captured around the 4-worker serve (``repro_server_{hits,coalesced,
-    submitted,rejected}_total``) and the contention rate from the
-    ``repro_shard_contention_rate`` gauge sampled immediately after it,
-    while the 4-worker server's cache still owns the gauge.  The scenario
-    therefore *is* a consistency check: the numbers the perf gate
-    compares are the same ones ``repro-label metrics`` exposes.
+    Both of those gated values are read from the served instance after
+    the last 4-worker serve: the hit rate from its ``server.stats`` and
+    the contention rate from its ``server.cache``.
 
     The gated ``workers_speedup_4`` ratio is measured separately, on the
     ``cold-scaling`` leg (every request a distinct engine run — nothing
@@ -413,7 +408,6 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     """
     from concurrent.futures import ThreadPoolExecutor, wait
 
-    from repro.obs import REGISTRY
     from repro.parallel.pool import effective_cpu_count
     from repro.service.server import ConcurrentLabelingService
 
@@ -437,16 +431,6 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
         server.shutdown(wait=True)
         return wall, server
 
-    # Server counters this scenario diffs around the 4-worker serve.  The
-    # registry is process-global, but each serve() runs to completion
-    # before the next begins, so the delta isolates exactly one serve.
-    delta_names = (
-        "repro_server_hits_total",
-        "repro_server_coalesced_total",
-        "repro_server_submitted_total",
-        "repro_server_rejected_total",
-    )
-
     rps: dict[int, list[float]] = {w: [] for w in widths}
     walls = []
     hit_rate = 0.0
@@ -454,26 +438,12 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     serve(widths[-1])  # warm-up (allocator, thread machinery)
     for _ in range(repeats):
         for w in widths:
-            before = {name: REGISTRY.value(name) for name in delta_names}
-            wall, _ = serve(w)
+            wall, server = serve(w)
             rps[w].append(leg.requests / wall if wall > 0 else 0.0)
             if w == 4:
                 walls.append(wall)
-                d = {
-                    name: REGISTRY.value(name) - before[name]
-                    for name in delta_names
-                }
-                accepted = (
-                    d["repro_server_submitted_total"]
-                    - d["repro_server_rejected_total"]
-                )
-                hit_rate = (
-                    d["repro_server_hits_total"]
-                    + d["repro_server_coalesced_total"]
-                ) / accepted if accepted else 0.0
-                # Sample the contention gauge while this serve's cache
-                # still owns it (the next construction takes it over).
-                shard_lock_wait = REGISTRY.value("repro_shard_contention_rate")
+                hit_rate = server.stats.hit_rate
+                shard_lock_wait = server.cache.contention_rate
 
     # Scaling measurement: the cold-only leg, 4 workers (auto-offloaded
     # on multi-core hosts) against 1 (inline).  Kept outside the mixed

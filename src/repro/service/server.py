@@ -61,7 +61,7 @@ from repro.errors import (
     ServiceOverloadedError,
 )
 from repro.graphs.analysis import export_buffers, get_analysis
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import TRACER, SpanContext
 from repro.parallel.pool import WorkerPool, effective_cpu_count
 from repro.service.api import _answer, _composed_key, solve_canonical
@@ -80,32 +80,30 @@ DEFAULT_QUEUE_SIZE = 64
 #: Sentinel that tells a worker thread to exit.
 _STOP = object()
 
-#: Registry counter families mirroring every :class:`ServerStats` field;
-#: the stats object increments both under its single lock, so the server's
-#: own counters and the metrics exposition can never disagree.
-_STAT_COUNTERS = {
-    name: REGISTRY.counter(f"repro_server_{name}_total")
-    for name in (
-        "submitted", "completed", "hits", "coalesced",
-        "solved", "rejected", "cancelled", "errors",
-    )
+#: Registry children behind every :class:`ServerStats` count, materialized
+#: at import so the exposition shows zeroed series before any traffic.
+_SERVER_COUNTERS = {
+    "submitted": REGISTRY.counter("repro_server_submitted_total").labels(),
+    "completed": REGISTRY.counter("repro_server_completed_total").labels(),
+    "hits": REGISTRY.counter("repro_server_hits_total").labels(),
+    "coalesced": REGISTRY.counter("repro_server_coalesced_total").labels(),
+    "solved": REGISTRY.counter("repro_server_solved_total").labels(),
+    "rejected": REGISTRY.counter("repro_server_rejected_total").labels(),
+    "cancelled": REGISTRY.counter("repro_server_cancelled_total").labels(),
+    "errors": REGISTRY.counter("repro_server_errors_total").labels(),
 }
-for _family in _STAT_COUNTERS.values():
-    _family.labels()  # materialize: the exposition shows 0, not nothing
-del _family
 _HIGH_WATER_GAUGE = REGISTRY.gauge("repro_queue_high_water")
 _HIGH_WATER_GAUGE.labels()
 
-#: Per-tier router/latency families, children materialized at import so the
-#: exposition shows zeroed series for both tiers before any traffic.
-_ROUTER_TIER_COUNTERS = {
-    tier: REGISTRY.counter("repro_router_requests_total").labels(tier=tier)
-    for tier in ("exact", "approx")
+#: Registry children behind every :class:`QosRouter` count, and the per-tier
+#: latency histograms; both tiers' series exist from import on.
+_ROUTER_REQUESTS = REGISTRY.counter("repro_router_requests_total")
+_ROUTER_COUNTERS = {
+    "exact": _ROUTER_REQUESTS.labels(tier="exact"),
+    "approx": _ROUTER_REQUESTS.labels(tier="approx"),
+    "degraded": REGISTRY.counter("repro_router_degraded_total").labels(),
+    "expired": REGISTRY.counter("repro_router_expired_total").labels(),
 }
-_ROUTER_DEGRADED = REGISTRY.counter("repro_router_degraded_total")
-_ROUTER_DEGRADED.labels()
-_ROUTER_EXPIRED = REGISTRY.counter("repro_router_expired_total")
-_ROUTER_EXPIRED.labels()
 _TIER_SECONDS = {
     tier: REGISTRY.histogram("repro_tier_request_seconds").labels(tier=tier)
     for tier in ("exact", "approx")
@@ -138,19 +136,16 @@ class QosRouter:
 
     Deadline-expired work is dropped *before* a solve starts
     (:meth:`note_expired`); the drop is counted, never recorded as a server
-    error.
+    error.  ``counters`` holds ``exact``, ``approx``, ``degraded`` (the
+    ``auto`` requests downgraded to approx) and ``expired``.
     """
 
     #: The serving queue's high-water mark (the 429 threshold).
     queue_size: int
-    exact: int = 0
-    approx: int = 0
-    #: ``auto`` requests downgraded to approx (subset of ``approx``).
-    degraded: int = 0
-    #: Requests dropped because their deadline expired before solving.
-    expired: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
+    counters: CounterSet = field(
+        init=False,
+        repr=False,
+        default_factory=lambda: CounterSet(_ROUTER_COUNTERS),
     )
 
     @property
@@ -172,105 +167,69 @@ class QosRouter:
                 )
             )
             tier = "approx" if downgraded else "exact"
-        with self._lock:
-            setattr(self, tier, getattr(self, tier) + 1)
-            if downgraded:
-                self.degraded += 1
-        _ROUTER_TIER_COUNTERS[tier].inc()
-        if downgraded:
-            _ROUTER_DEGRADED.inc()
+        self.counters.add(**{tier: 1}, degraded=int(downgraded))
         return tier
 
     def note_expired(self) -> None:
         """Count one deadline-expired drop."""
-        with self._lock:
-            self.expired += 1
-        _ROUTER_EXPIRED.inc()
+        self.counters.add(expired=1)
 
     def to_json(self) -> dict:
         """Routing counters + thresholds, the shape ``/stats`` exposes."""
-        with self._lock:
-            return {
-                "exact": self.exact,
-                "approx": self.approx,
-                "degraded": self.degraded,
-                "expired": self.expired,
-                "approx_depth": self.approx_depth,
-                "large_n": LARGE_N,
-                "min_exact_deadline_ms": MIN_EXACT_DEADLINE_MS,
-            }
+        return {
+            **self.counters.snapshot(),
+            "approx_depth": self.approx_depth,
+            "large_n": LARGE_N,
+            "min_exact_deadline_ms": MIN_EXACT_DEADLINE_MS,
+        }
 
 
-@dataclass
-class ServerStats:
+class ServerStats(CounterSet):
     """Lifetime counters for one :class:`ConcurrentLabelingService`.
 
     ``hits`` counts submissions answered from the warm cache (either at the
     submit-side fast path or by a worker), ``coalesced`` counts submissions
     that attached to an identical in-flight solve, ``solved`` counts actual
-    engine runs, ``errors`` failed solves.  Once the service has drained,
-    every accepted request resolved exactly once — ``completed ==
-    submitted - rejected - cancelled`` — and, absent errors,
-    ``hits + coalesced + solved == completed``.
+    engine runs, ``errors`` failed solves, ``cancelled`` public futures
+    that ended cancelled (by :meth:`ConcurrentLabelingService.shutdown`
+    or by their caller).  Once the service has drained, every accepted
+    request resolved exactly once — ``completed == submitted - rejected -
+    cancelled`` — and, absent errors and cancellations, ``hits +
+    coalesced + solved == completed``.
 
-    All mutation goes through :meth:`add` / :meth:`observe_depth`, which
-    take the stats' single internal lock; :meth:`snapshot` reads every
-    field under that same lock, so derived values (``hit_rate``,
-    :meth:`to_json`) are computed from one consistent view — never from a
-    torn read interleaved with a concurrent update.
+    ``stats.hits`` reads one count.  :meth:`observe_depth` and
+    :meth:`snapshot` take the set's one lock, so derived values
+    (``hit_rate``, :meth:`to_json`) come from one consistent view — never
+    from a torn read interleaved with a concurrent update.
     """
 
-    submitted: int = 0
-    completed: int = 0
-    hits: int = 0
-    coalesced: int = 0
-    solved: int = 0
-    rejected: int = 0
-    cancelled: int = 0
-    errors: int = 0
-    #: Highest queue depth observed at submission time.
-    high_water: int = 0
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
+    def __init__(self) -> None:
+        """Zeroed counters and high-water mark."""
+        super().__init__(_SERVER_COUNTERS)
+        #: Highest queue depth observed at submission time.
+        self.high_water = 0
 
-    #: The counter fields :meth:`add` accepts (everything but high_water).
-    _FIELDS = (
-        "submitted", "completed", "hits", "coalesced",
-        "solved", "rejected", "cancelled", "errors",
-    )
-
-    def add(self, **deltas: int) -> None:
-        """Atomically bump counter fields (and their registry mirrors).
-
-        ``stats.add(hits=1, completed=1)`` is one critical section, so a
-        concurrent :meth:`snapshot` sees either both increments or
-        neither.
-        """
-        unknown = [k for k in deltas if k not in self._FIELDS]
-        if unknown:
-            raise ReproError(f"unknown ServerStats fields: {unknown}")
-        with self._lock:
-            for name, delta in deltas.items():
-                setattr(self, name, getattr(self, name) + delta)
-        for name, delta in deltas.items():
-            _STAT_COUNTERS[name].inc(delta)
+    def __getattr__(self, name: str) -> int:
+        """``stats.solved`` is ``stats["solved"]``."""
+        if name in _SERVER_COUNTERS:
+            return self[name]
+        raise AttributeError(name)
 
     def observe_depth(self, depth: int) -> None:
         """Fold one observed queue depth into the high-water mark."""
         with self._lock:
             if depth > self.high_water:
                 self.high_water = depth
-                _HIGH_WATER_GAUGE.set(self.high_water)
+                _HIGH_WATER_GAUGE.set(depth)
 
     def snapshot(self) -> dict:
-        """Every field read atomically under the single stats lock.
+        """Every count plus ``high_water``, read under the one lock.
 
         The returned dict includes the derived ``hit_rate``, computed from
-        the same consistent view of the fields.
+        the same consistent view of the counts.
         """
         with self._lock:
-            snap = {name: getattr(self, name) for name in self._FIELDS}
+            snap = dict(self._counts)
             snap["high_water"] = self.high_water
         accepted = snap["submitted"] - snap["rejected"]
         snap["hit_rate"] = (
@@ -367,7 +326,7 @@ class ConcurrentLabelingService:
         if queue_size < 1:
             raise ReproError(f"queue_size must be >= 1, got {queue_size}")
         self.cache = ShardedResultCache(capacity=cache_capacity, path=cache_path)
-        #: Tier selection policy (tune its thresholds on this attribute).
+        #: Tier selection policy; its thresholds are the module constants.
         self.router = QosRouter(queue_size)
         self.workers = workers
         self.block = block
@@ -569,7 +528,9 @@ class ConcurrentLabelingService:
         <repro.service.api.LabelingService.submit_many>` uses for in-batch
         duplicates: no engine ran *for this request*.  Every
         resolution (including errors) lands one end-to-end sample in the
-        ``repro_request_seconds`` histogram.
+        ``repro_request_seconds`` histogram and counts the public future
+        once: ``cancelled`` if it ended cancelled (by shutdown or by its
+        caller), else ``completed``.
         """
         if t_submit is not None:
             self._m_request.observe(time.perf_counter() - t_submit)
@@ -579,19 +540,18 @@ class ConcurrentLabelingService:
                 cached, seconds = True, 0.0
         except CancelledError:
             public.cancel()
-            return
         except BaseException as exc:
-            if not public.set_running_or_notify_cancel():
-                return
-            public.set_exception(exc)
+            if public.set_running_or_notify_cancel():
+                public.set_exception(exc)
+        else:
+            if public.set_running_or_notify_cancel():
+                public.set_result(_answer(
+                    request, form, key, entry, cached=cached, seconds=seconds
+                ))
+        if public.cancelled():
+            self.stats.add(cancelled=1)
+        else:
             self.stats.add(completed=1)
-            return
-        if not public.set_running_or_notify_cancel():
-            return  # caller cancelled while we solved; nothing to deliver
-        public.set_result(
-            _answer(request, form, key, entry, cached=cached, seconds=seconds)
-        )
-        self.stats.add(completed=1)
 
     def _worker(self, index: int) -> None:
         """Worker loop: drain jobs until the stop sentinel arrives.
@@ -738,8 +698,7 @@ class ConcurrentLabelingService:
                     continue
                 with self._lock:
                     self._inflight.pop(item.key, None)
-                self.stats.add(cancelled=1)
-                item.internal.cancel()
+                item.internal.cancel()  # _deliver counts each public future
             finally:
                 self._queue.task_done()
 

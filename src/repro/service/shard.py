@@ -41,7 +41,7 @@ from collections import OrderedDict
 from pathlib import Path
 
 from repro.errors import ReproError
-from repro.obs.metrics import REGISTRY
+from repro.obs.metrics import REGISTRY, CounterSet
 from repro.service.cache import _PERSIST_VERSION, CachedSolve, CacheStats
 
 #: Default shard count.  Sixteen shards keep the expected contention rate
@@ -49,11 +49,14 @@ from repro.service.cache import _PERSIST_VERSION, CachedSolve, CacheStats
 #: OrderedDict) stays trivial.
 DEFAULT_SHARDS = 16
 
-#: Registry counters, summed over every shard of every cache.
-_M_HITS = REGISTRY.counter("repro_cache_hits_total").labels()
-_M_MISSES = REGISTRY.counter("repro_cache_misses_total").labels()
-_M_PUTS = REGISTRY.counter("repro_cache_puts_total").labels()
-_M_EVICTIONS = REGISTRY.counter("repro_cache_evictions_total").labels()
+#: Registry children behind every shard's counts, summed over every shard
+#: of every cache; the keys are the :class:`CacheStats` fields.
+_CACHE_COUNTERS = {
+    "hits": REGISTRY.counter("repro_cache_hits_total").labels(),
+    "misses": REGISTRY.counter("repro_cache_misses_total").labels(),
+    "evictions": REGISTRY.counter("repro_cache_evictions_total").labels(),
+    "puts": REGISTRY.counter("repro_cache_puts_total").labels(),
+}
 
 
 class _ContentionLock:
@@ -95,7 +98,8 @@ class _CacheShard:
     """One shard: an LRU map of :class:`CachedSolve` behind a counting lock.
 
     The critical sections are dictionary moves, so contention is
-    negligible next to any solve.
+    negligible next to any solve.  ``counters`` holds the shard's
+    lifetime :class:`CacheStats` counts.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -103,19 +107,17 @@ class _CacheShard:
         self.capacity = capacity
         self._lock = _ContentionLock()
         self._entries: OrderedDict[str, CachedSolve] = OrderedDict()
-        self.stats = CacheStats()
+        self.counters = CounterSet(_CACHE_COUNTERS)
 
     def get(self, key: str) -> CachedSolve | None:
         """Look up a key, counting a hit or miss and refreshing recency."""
         with self._lock:
             entry = self._entries.get(key)
             if entry is None:
-                self.stats.misses += 1
-                _M_MISSES.inc()
+                self.counters.add(misses=1)
                 return None
             self._entries.move_to_end(key)
-            self.stats.hits += 1
-            _M_HITS.inc()
+            self.counters.add(hits=1)
             return entry
 
     def peek(self, key: str) -> CachedSolve | None:
@@ -126,8 +128,7 @@ class _CacheShard:
     def put(self, key: str, value: CachedSolve) -> None:
         """Insert (or refresh) an entry, evicting the LRU tail if full."""
         with self._lock:
-            self.stats.puts += 1
-            _M_PUTS.inc()
+            self.counters.add(puts=1)
             self._insert(key, value)
 
     def _load(self, key: str, value: CachedSolve) -> None:
@@ -142,8 +143,7 @@ class _CacheShard:
         self._entries[key] = value
         while len(self._entries) > self.capacity:
             self._entries.popitem(last=False)
-            self.stats.evictions += 1
-            _M_EVICTIONS.inc()
+            self.counters.add(evictions=1)
 
     def items(self) -> list[tuple[str, CachedSolve]]:
         """A snapshot of the live entries, LRU first."""
@@ -260,17 +260,15 @@ class ShardedResultCache:
     @property
     def stats(self) -> CacheStats:
         """Aggregate counters summed over every shard's lifetime stats."""
-        total = CacheStats()
-        for shard in self._shards:
-            total.hits += shard.stats.hits
-            total.misses += shard.stats.misses
-            total.evictions += shard.stats.evictions
-            total.puts += shard.stats.puts
-        return total
+        per_shard = self.shard_stats()
+        return CacheStats(**{
+            name: sum(getattr(s, name) for s in per_shard)
+            for name in _CACHE_COUNTERS
+        })
 
     def shard_stats(self) -> list[CacheStats]:
         """Per-shard lifetime counters, in shard order."""
-        return [s.stats for s in self._shards]
+        return [CacheStats(**s.counters.snapshot()) for s in self._shards]
 
     @property
     def lock_contentions(self) -> int:

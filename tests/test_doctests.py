@@ -42,6 +42,7 @@ MODULES = [
     "repro.session",
     "repro.dynamic.engine",
     "repro.graphs.analysis",
+    "repro.obs.metrics",
 ]
 
 

@@ -4,7 +4,8 @@ Covers the metric primitives and exposition formats (including a golden
 Prometheus file), exact-total concurrency hammering, span propagation
 across thread and process-offload boundaries, the legacy-counter
 delegation (``apsp_run_count`` / ``full_apsp_refresh_count``), the atomic
-:class:`ServerStats` snapshot, and the CLI/lint surface.
+:class:`ServerStats` snapshot, the one per-instance counter path
+(:class:`CounterSet`) every stats owner shares, and the CLI/lint surface.
 
 Global-registry assertions always use *deltas*: :data:`repro.obs.REGISTRY`
 is process-wide and other tests run before these.
@@ -21,7 +22,7 @@ import pytest
 from repro.errors import ReproError
 from repro.obs import REGISTRY, SpanContext, Tracer, span
 from repro.obs.catalog import CATALOG, COUNTER, GAUGE, HISTOGRAM, catalog_entry
-from repro.obs.metrics import DEFAULT_BUCKETS, MetricsRegistry
+from repro.obs.metrics import DEFAULT_BUCKETS, CounterSet, MetricsRegistry
 
 GOLDEN = Path(__file__).parent / "data" / "metrics_golden.prom"
 
@@ -424,6 +425,184 @@ class TestServerStatsAtomic:
         assert stats.hit_rate == 0.5
 
 
+class TestCounterSet:
+    def test_unknown_name_raises_and_changes_nothing(self):
+        reg = MetricsRegistry()
+        child = reg.counter("repro_test_a_total").labels()
+        counters = CounterSet({"a": child})
+        with pytest.raises(ReproError):
+            counters.add(a=1, bogus=1)
+        assert counters.snapshot() == {"a": 0}
+        assert reg.value("repro_test_a_total") == 0
+
+    def test_adds_are_atomic_under_hammer(self):
+        """Concurrent multi-count adds never tear, lose an update or drift."""
+        reg = MetricsRegistry()
+        counters = CounterSet({
+            name: reg.counter(f"repro_test_{name}_total").labels()
+            for name in ("x", "y")
+        })
+        threads, per = 8, 2000
+        torn = []
+
+        def work():
+            """Bump both counts together; check every snapshot agrees."""
+            for _ in range(per):
+                counters.add(x=1, y=2)
+                snap = counters.snapshot()
+                if 2 * snap["x"] != snap["y"]:
+                    torn.append(snap)
+
+        ts = [threading.Thread(target=work) for _ in range(threads)]
+        for t in ts:
+            t.start()
+        for t in ts:
+            t.join()
+        total = threads * per
+        assert not torn
+        assert (counters["x"], counters["y"]) == (total, 2 * total)
+        assert reg.value("repro_test_x_total") == total
+        assert reg.value("repro_test_y_total") == 2 * total
+
+
+def _server_owner():
+    """Serve solves, a relabeled hit and an approx solve; the stats."""
+    from repro.graphs import generators as gen
+    from repro.graphs.operations import relabel
+    from repro.labeling.spec import L21
+    from repro.service.protocol import SolveRequest
+    from repro.service.server import ConcurrentLabelingService
+
+    graphs = [
+        gen.random_graph_with_diameter_at_most(10, 2, seed=s) for s in (7, 8)
+    ]
+    with ConcurrentLabelingService(workers=1, offload=False) as server:
+        for g, tier in ((graphs[0], "exact"), (graphs[1], "approx")):
+            req = SolveRequest(g, L21, engine="nearest_neighbor", tier=tier)
+            server.submit(req).result(timeout=60)
+        again = relabel(graphs[0], list(range(10))[::-1])
+        hit = SolveRequest(again, L21, engine="nearest_neighbor", tier="exact")
+        assert server.submit(hit).result(timeout=60).cached
+    series = {
+        name: (f"repro_server_{name}_total", {})
+        for name in ("submitted", "completed", "hits", "coalesced",
+                     "solved", "rejected", "cancelled", "errors")
+    }
+    return server.stats, series
+
+
+def _router_owner():
+    """Route exact, degraded and explicit-approx requests; one expiry."""
+    from repro.graphs.graph import Graph
+    from repro.labeling.spec import L21
+    from repro.service.protocol import SolveRequest
+    from repro.service.server import QosRouter
+
+    router = QosRouter(queue_size=8)
+    g = Graph(3, [(0, 1), (1, 2)])
+    for tier, depth in (("auto", 0), ("auto", 8), ("approx", 0)):
+        router.route(SolveRequest(g, L21, tier=tier), queue_depth=depth)
+    router.note_expired()
+    series = {
+        "exact": ("repro_router_requests_total", {"tier": "exact"}),
+        "approx": ("repro_router_requests_total", {"tier": "approx"}),
+        "degraded": ("repro_router_degraded_total", {}),
+        "expired": ("repro_router_expired_total", {}),
+    }
+    return router.counters, series
+
+
+def _cache_owner():
+    """A one-shard cache through misses, hits, puts and evictions."""
+    from repro.service.cache import CachedSolve
+    from repro.service.shard import ShardedResultCache
+
+    cache = ShardedResultCache(capacity=2, shards=1)
+    for key in ("a", "b", "c", "a", "c"):
+        if cache.get(key) is None:
+            cache.put(key, CachedSolve((0,), 0, "lk", False))
+    series = {
+        name: (f"repro_cache_{name}_total", {})
+        for name in ("hits", "misses", "puts", "evictions")
+    }
+    return cache._shards[0].counters, series
+
+
+def _oracle_owner():
+    """Sweep a blocked oracle's rows through a two-block budget, twice."""
+    from repro.graphs import analysis as analysis_mod
+    from repro.graphs import generators as gen
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis_mod, "DENSE_MATERIALIZE_LIMIT", 0)
+        a = analysis_mod.GraphAnalysis(gen.path_graph(16))
+        oracle = a.configure_oracle(block_rows=4, budget_bytes=2 * 4 * 16 * 2)
+        for v in list(range(16)) * 2:
+            a.row(v)
+    series = {
+        name: (f"repro_oracle_block_{name}_total", {})
+        for name in ("hits", "misses", "evictions")
+    }
+    return oracle.counters, series
+
+
+def _pool_owner():
+    """Two pool solves, then one more after a worker is killed."""
+    import contextlib
+    import os
+    import signal
+
+    from repro.errors import WorkerCrashedError
+    from repro.graphs import generators as gen
+    from repro.graphs.analysis import export_buffers, get_analysis
+    from repro.labeling.spec import L21
+    from repro.parallel.pool import WorkerPool
+
+    buffers = export_buffers(
+        get_analysis(gen.random_graph_with_diameter_at_most(8, 2, seed=1))
+    )
+    with WorkerPool(2, start_method="fork") as pool:
+        pool.wait_ready()
+        for i in range(2):
+            pool.solve(buffers, (f"k{i}", L21.p, "nearest_neighbor"))
+        os.kill(pool.worker_pids()[0], signal.SIGKILL)
+        with contextlib.suppress(WorkerCrashedError):
+            pool.solve(buffers, ("k2", L21.p, "nearest_neighbor"))
+    assert pool.restart_count == 1
+    series = {
+        "restarts": ("repro_pool_worker_restarts_total", {}),
+        "0": ("repro_pool_dispatch_total", {"worker": "0"}),
+        "1": ("repro_pool_dispatch_total", {"worker": "1"}),
+    }
+    return pool.counters, series
+
+
+@pytest.mark.parametrize(
+    "owner",
+    [_server_owner, _router_owner, _cache_owner, _oracle_owner, _pool_owner],
+    ids=["server", "router", "cache", "oracle", "pool"],
+)
+def test_instance_counts_match_registry_deltas(owner):
+    """Every per-instance count moves exactly as its registry series does.
+
+    One small real workload per :class:`CounterSet` owner; its counts
+    start at zero, so each final count is the instance's delta.
+    """
+    before = {
+        (family.name, labels): child.value
+        for family in REGISTRY.families() if family.kind == COUNTER
+        for labels, child in family.children()
+    }
+    counters, series = owner()
+    counts = CounterSet.snapshot(counters)
+    assert set(counts) == set(series)
+    assert any(counts.values()), "the workload exercised nothing"
+    for name, (family, labels) in series.items():
+        key = (family, tuple(sorted(labels.items())))
+        delta = REGISTRY.value(family, **labels) - before.get(key, 0.0)
+        assert counts[name] == delta, (name, counts[name], delta)
+
+
 class TestProfilingSpanAttach:
     def test_hotspots_attached_to_active_span(self):
         from repro.profiling import profile_call
@@ -544,6 +723,27 @@ class TestMetricsLintScan:
             'A = "repro_apsp_runs_total"\nB = "repro_request_seconds_bucket"\n',
         )
         assert hits == []
+
+    def test_flags_catalogued_names_nothing_emits(self, tmp_path):
+        sys.path.insert(0, str(Path(__file__).parent.parent / "tools"))
+        try:
+            from metrics_lint import unemitted_families
+        finally:
+            sys.path.pop(0)
+        (tmp_path / "obs").mkdir()
+        (tmp_path / "obs" / "catalog.py").write_text(
+            "".join(f"N{i} = {name!r}\n" for i, name in enumerate(CATALOG))
+        )
+        (tmp_path / "mod.py").write_text(
+            'A = "repro_apsp_runs_total"\n'
+            'B = f"repro_server_{kind}_total"\n'  # built names do not count
+        )
+        missing = unemitted_families([str(tmp_path)])
+        assert missing == sorted(set(CATALOG) - {"repro_apsp_runs_total"})
+        # the real tree spells every catalogued family somewhere
+        root = Path(__file__).parent.parent
+        tree = [str(root / "src" / "repro"), str(root / "tools")]
+        assert unemitted_families(tree) == []
 
     def test_default_buckets_sane(self):
         assert DEFAULT_BUCKETS == tuple(sorted(DEFAULT_BUCKETS))

@@ -122,9 +122,9 @@ def test_lru_eviction_and_rematerialization():
         assert stats["resident_blocks"] == 2
         assert stats["peak_bytes"] == 2 * block_bytes
         # the evicted first block re-materializes bit-identically (a miss)
-        misses = oracle.misses
+        misses = oracle.counters["misses"]
         assert np.array_equal(np.asarray(a.row(0)), ref[0])
-        assert oracle.misses == misses + 1
+        assert oracle.counters["misses"] == misses + 1
 
 
 def test_single_block_larger_than_budget_is_still_served():
@@ -148,9 +148,9 @@ def test_lru_keeps_recently_used_block():
         a.row(4)  # block 1
         a.row(0)  # touch block 0: block 1 is now least recent
         a.row(8)  # block 2 evicts block 1, not block 0
-        hits = oracle.hits
+        hits = oracle.counters["hits"]
         a.row(1)
-        assert oracle.hits == hits + 1  # block 0 still resident
+        assert oracle.counters["hits"] == hits + 1  # block 0 still resident
 
 
 def test_peak_bytes_is_a_high_water_mark():

@@ -261,6 +261,12 @@ def test_abort_shutdown_cancels_nonempty_queue():
     assert started.wait(timeout=10)  # worker busy; the rest stays queued
     queued = [server.submit(req(g)) for g in graphs[1:]]
     assert server.queue_depth() == len(queued)
+    # a relabeled copy coalesces onto a queued job: no queue slot of its own
+    # (tier pinned: at this depth the router would send ``auto`` to approx)
+    g = relabel(graphs[1], list(range(graphs[1].n))[::-1])
+    follower = SolveRequest(g, L21, engine=ENGINE, tier="exact")
+    queued.append(server.submit(follower))
+    assert server.queue_depth() == len(queued) - 1
 
     release.set()
     server.shutdown(wait=False)
@@ -269,11 +275,30 @@ def test_abort_shutdown_cancels_nonempty_queue():
     for f in queued:
         with pytest.raises(CancelledError):
             f.result(timeout=10)
-    assert server.stats.cancelled == len(queued)
+    stats = server.stats.snapshot()
+    assert stats["cancelled"] == len(queued)  # the follower counts too
+    assert stats["coalesced"] == 1
+    assert stats["completed"] == (
+        stats["submitted"] - stats["rejected"] - stats["cancelled"]
+    )
     assert server.queue_depth() == 0
     with pytest.raises(ServiceClosedError):
         server.submit(req(graphs[0]))
     server.shutdown(wait=True)  # idempotent
+
+
+def test_caller_cancelled_future_counts_as_cancelled():
+    server = make_server(workers=1, queue_size=8)
+    started, release = threading.Event(), threading.Event()
+    gated_solver(server, started=started, release=release)
+    future = server.submit(req(_distinct_graphs(1)[0]))
+    assert started.wait(timeout=10)
+    assert future.cancel()  # the caller gives up while the solve runs
+    release.set()
+    server.shutdown(wait=True)
+    stats = server.stats.snapshot()
+    assert stats["solved"] == stats["cancelled"] == 1
+    assert stats["completed"] == 0
 
 
 def test_drain_is_a_checkpoint_not_a_shutdown():

@@ -8,7 +8,11 @@ Two checks, either or both per invocation:
     (``repro_*`` matching the registry's naming shape) and fail if any is
     **not** in :data:`repro.obs.catalog.CATALOG`.  This is what stops a
     new instrumentation site from minting an uncatalogued (and therefore
-    undocumented, un-preregistered) metric name.
+    undocumented, un-preregistered) metric name.  It also fails when a
+    catalogued family's name appears as **no** string literal in the
+    scanned tree (``obs/catalog.py`` itself excluded): a family that
+    nothing emits, or whose name only an f-string builds where the scan
+    cannot see it.
 
 ``--check-exposition FILE``
     Parse a Prometheus 0.0.4 text exposition (``-`` for stdin) and fail
@@ -53,6 +57,20 @@ _SAMPLE_LINE = re.compile(
 )
 
 
+def _string_literals(paths: list[str]):
+    """``(path, lineno, value)`` for every string constant under ``paths``."""
+    for raw in paths:
+        root = Path(raw)
+        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
+        for path in files:
+            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Constant) and isinstance(
+                    node.value, str
+                ):
+                    yield path, node.lineno, node.value
+
+
 def scan_sources(paths: list[str]) -> list[str]:
     """Uncatalogued metric-name literals as ``file:line name`` strings.
 
@@ -63,22 +81,25 @@ def scan_sources(paths: list[str]) -> list[str]:
     ``_count``) are resolved to their base family first.
     """
     offenders: list[str] = []
-    for raw in paths:
-        root = Path(raw)
-        files = sorted(root.rglob("*.py")) if root.is_dir() else [root]
-        for path in files:
-            tree = ast.parse(path.read_text(encoding="utf-8"), str(path))
-            for node in ast.walk(tree):
-                if not (isinstance(node, ast.Constant)
-                        and isinstance(node.value, str)):
-                    continue
-                name = node.value
-                if not _NAME_SHAPE.match(name):
-                    continue
-                base = re.sub(r"_(bucket|sum|count)$", "", name)
-                if name not in CATALOG and base not in CATALOG:
-                    offenders.append(f"{path}:{node.lineno} {name}")
+    for path, lineno, name in _string_literals(paths):
+        if not _NAME_SHAPE.match(name):
+            continue
+        base = re.sub(r"_(bucket|sum|count)$", "", name)
+        if name not in CATALOG and base not in CATALOG:
+            offenders.append(f"{path}:{lineno} {name}")
     return offenders
+
+
+def unemitted_families(paths: list[str]) -> list[str]:
+    """Catalogued family names spelled as no string literal under ``paths``.
+
+    ``obs/catalog.py`` is skipped: it spells every name by definition.
+    """
+    spelled = {
+        name for path, _lineno, name in _string_literals(paths)
+        if path.parts[-2:] != ("obs", "catalog.py")
+    }
+    return sorted(set(CATALOG) - spelled)
 
 
 def check_exposition(text: str) -> list[str]:
@@ -136,11 +157,16 @@ def main(argv: list[str] | None = None) -> int:
         offenders = scan_sources(args.scan)
         for line in offenders:
             print(f"uncatalogued metric literal: {line}")
+        unemitted = unemitted_families(args.scan)
+        for name in unemitted:
+            print(f"catalogued family no literal emits: {name}")
+        bad = offenders or unemitted
         print(
-            f"metrics scan: {len(offenders)} uncatalogued literal(s) — "
-            f"{'FAILED' if offenders else 'PASSED'}"
+            f"metrics scan: {len(offenders)} uncatalogued literal(s), "
+            f"{len(unemitted)} unemitted catalogued name(s) — "
+            f"{'FAILED' if bad else 'PASSED'}"
         )
-        failed |= bool(offenders)
+        failed |= bool(bad)
     if args.check_exposition is not None:
         if args.check_exposition == "-":
             text = sys.stdin.read()
