@@ -19,8 +19,9 @@ bench:
 # assertion-only pass over the oracle + dynamic-engine + serving
 # benchmarks (fast enough for CI): bit-identical matrices, APSP-once,
 # zero-APSP sessions, no duplicate solves under concurrency, worker-pool
-# serial equivalence + no-graph-pickling.  Wall-clock
-# floors (the E13 >=3x churn win, the E14/E15 >=2x worker scaling) are
+# serial equivalence + no-graph-pickling, and the E11 service-cache hit
+# rates.  Wall-clock floors (the E13 >=3x churn win, the E14/E15 >=2x
+# worker scaling, E11's <=25% batch wall in `test_experiment_passes`) are
 # deselected here — timing asserts belong to the calibrated perf gate,
 # the timed `make bench` tier and the CI pool-scaling job, not the
 # per-push correctness tier, where shared-runner noise would flake them.
@@ -32,6 +33,8 @@ bench-quick:
 		benchmarks/bench_e16_network_service.py \
 		benchmarks/bench_e17_oracle_scaling.py -q --benchmark-disable \
 		-k "not speedup and not large2048"
+	$(PYTHON) -m pytest benchmarks/bench_e11_service_cache.py -q \
+		--benchmark-disable -k "not experiment_passes"
 
 # line-coverage gate: measured ~95% at the time of pinning; the floor sits
 # a few points under so noise in line accounting never flakes the CI

@@ -4,7 +4,8 @@ Two claims, both asserted (so ``make bench`` is also a correctness gate):
 
 1. the vectorized multi-source APSP beats the per-source BFS reference on
    the E-suite graph sizes, with **bit-identical** distance matrices;
-2. a solve through :class:`~repro.service.api.LabelingService` (canonical
+2. a solve through a one-worker (inline)
+   :class:`~repro.service.server.ConcurrentLabelingService` (canonical
    key + cache-miss solve + verify) runs the APSP kernel **exactly once**,
    and a warm isomorphic resubmit adds exactly one more (its own key).
 
@@ -26,8 +27,8 @@ from repro.graphs.traversal import (
     apsp_run_count,
 )
 from repro.labeling.spec import L21
-from repro.service.api import LabelingService
 from repro.service.protocol import SolveRequest
+from repro.service.server import ConcurrentLabelingService
 
 #: E-suite scaling sizes (E3 sweeps diameter-2 graphs in this range).
 SIZES = (40, 70, 100)
@@ -60,17 +61,20 @@ def test_vectorized_apsp_equal_and_faster(n):
 
 def test_service_solve_single_apsp():
     g = gen.random_graph_with_diameter_at_most(60, 2, seed=1).copy()  # cold oracle
-    svc = LabelingService()
-    before = apsp_run_count()
-    first = svc.submit(SolveRequest(g, L21, engine="lk"))
-    assert apsp_run_count() == before + 1, "miss solve must reuse the key's APSP"
-    assert not first.cached
-
     h = relabel(g, list(reversed(range(g.n))))
-    before = apsp_run_count()
-    again = svc.submit(SolveRequest(h, L21, engine="lk"))
-    assert again.cached and again.span == first.span
-    assert apsp_run_count() == before + 1, "warm hit pays only its own key APSP"
+    first_req, again_req = (
+        SolveRequest(graph, L21, engine="lk", tier="exact") for graph in (g, h)
+    )
+    with ConcurrentLabelingService(workers=1) as svc:
+        before = apsp_run_count()
+        first = svc.submit(first_req).result()
+        assert apsp_run_count() == before + 1, "miss solve must reuse the key's APSP"
+        assert not first.cached
+
+        before = apsp_run_count()
+        again = svc.submit(again_req).result()
+        assert again.cached and again.span == first.span
+        assert apsp_run_count() == before + 1, "warm hit pays only its own key APSP"
 
 
 def test_bench_apsp_vectorized(benchmark, diam2_n100):
@@ -85,7 +89,8 @@ def test_bench_apsp_reference(benchmark, diam2_n100):
 
 def test_bench_service_warm_oracle(benchmark, diam2_n100):
     """Steady-state submit where graph analysis + result cache are warm."""
-    svc = LabelingService()
-    svc.submit(SolveRequest(diam2_n100, L21, engine="lk"))
-    result = benchmark(lambda: svc.submit(SolveRequest(diam2_n100, L21, engine="lk")))
+    request = SolveRequest(diam2_n100, L21, engine="lk", tier="exact")
+    with ConcurrentLabelingService(workers=1) as svc:
+        svc.submit(request).result()
+        result = benchmark(lambda: svc.submit(request).result())
     assert result.cached

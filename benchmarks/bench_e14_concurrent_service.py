@@ -5,8 +5,9 @@ Four claims, all asserted (so ``make bench`` is also a correctness gate):
 1. serving a mixed hot/cold stream through the
    :class:`~repro.service.server.ConcurrentLabelingService` answers every
    request with a labeling **feasible on that request's own graph** and a
-   span identical to the serial :class:`~repro.service.api.LabelingService`
-   answer — coalescing and coordinate translation never corrupt a result;
+   span identical to a cache-free serial reference (one
+   :func:`~repro.service.api.solve_canonical` per request, no dedup) —
+   coalescing and coordinate translation never corrupt a result;
 2. **no duplicate solves**: however many threads submit however many
    overlapping requests, the engine runs exactly once per distinct
    canonical key (in-flight dedup + the worker-side cache re-probe);
@@ -30,7 +31,8 @@ import pytest
 
 from repro.harness.workloads import SERVICE, service_stream
 from repro.parallel.pool import effective_cpu_count
-from repro.service.api import LabelingService
+from repro.service.api import solve_canonical
+from repro.service.canonical import canonical_form
 from repro.service.server import ConcurrentLabelingService
 
 LEG = SERVICE["mixed-dense"]
@@ -54,11 +56,18 @@ def serve_stream(stream, workers: int, clients: int = 4, **kwargs):
     return wall, server, [f.result() for f in futures]
 
 
+def serial_spans(stream) -> list[int]:
+    """Reference spans: every request solved on its own, exact tier."""
+    return [
+        solve_canonical(canonical_form(r.graph, r.spec), r, "exact")[0].span
+        for r in stream
+    ]
+
+
 def test_concurrent_matches_serial_and_feasible():
     stream = service_stream(LEG)
     _wall, _server, results = serve_stream(stream, workers=4)
-    serial, _report = LabelingService().submit_many(list(stream))
-    assert [r.span for r in results] == [r.span for r in serial]
+    assert [r.span for r in results] == serial_spans(stream)
     for req, res in zip(stream, results):
         res.labeling.require_feasible(req.graph, req.spec)
 

@@ -4,7 +4,8 @@ Three claims, all asserted (so ``make bench`` is also a correctness gate):
 
 1. **serial equivalence** — the pool-offloaded server answers a cold
    request stream with exactly the spans (and per-request feasibility) of
-   the serial :class:`~repro.service.api.LabelingService`: crossing the
+   a cache-free serial reference (one
+   :func:`~repro.service.api.solve_canonical` per request): crossing the
    process boundary changes nothing observable;
 2. **no graph pickling on the hot path** — with ``Graph.__reduce__``
    rigged to raise, the offloaded serve still completes: only the
@@ -25,9 +26,8 @@ from repro.graphs.graph import Graph
 from repro.harness.workloads import SERVICE, service_stream
 from repro.labeling.spec import LpSpec
 from repro.parallel.pool import effective_cpu_count
-from repro.service.api import LabelingService
 
-from bench_e14_concurrent_service import serve_stream
+from bench_e14_concurrent_service import serial_spans, serve_stream
 
 LEG = SERVICE["cold-scaling"]
 
@@ -35,8 +35,7 @@ LEG = SERVICE["cold-scaling"]
 def test_offloaded_stream_matches_serial():
     stream = service_stream(LEG)
     _wall, _server, results = serve_stream(stream, workers=2, offload=True)
-    serial, _report = LabelingService().submit_many(list(stream))
-    assert [r.span for r in results] == [r.span for r in serial]
+    assert [r.span for r in results] == serial_spans(stream)
     for req, res in zip(stream, results):
         res.labeling.require_feasible(req.graph, req.spec)
 
@@ -45,7 +44,7 @@ def test_no_graph_pickling_on_hot_path(monkeypatch):
     def _refuse(self):
         raise AssertionError(
             "Graph crossed the process boundary by pickle; the serving "
-            "path must ship shm descriptors + small tuples only"
+            "path must ship canonical arrays + small tuples only"
         )
 
     monkeypatch.setattr(Graph, "__reduce__", _refuse)

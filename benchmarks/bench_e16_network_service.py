@@ -20,6 +20,7 @@ which is the steady state a production front end lives in.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 import urllib.request
@@ -29,8 +30,8 @@ from repro.graphs import generators as gen
 from repro.harness.loadgen import default_payload_instances, run_load
 from repro.labeling.spec import L21
 from repro.net import BackgroundServer
-from repro.service.api import LabelingService
 from repro.service.protocol import SolveRequest, SolveResponse
+from repro.service.server import ConcurrentLabelingService
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from metrics_lint import check_exposition  # noqa: E402
@@ -56,8 +57,11 @@ def test_wire_matches_in_process():
         )
         for seed in range(4)
     ]
-    local = LabelingService()
-    expected = [local.submit(r) for r in requests]
+    with ConcurrentLabelingService(workers=1) as local:
+        expected = [
+            local.submit(dataclasses.replace(r, tier="exact")).result()
+            for r in requests
+        ]
     with BackgroundServer(workers=2, offload=False) as server:
         served = [post_solve(server.url, r) for r in requests]
     for want, got, req in zip(expected, served, requests):

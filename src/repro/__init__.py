@@ -41,7 +41,7 @@ from repro.labeling.labeling import Labeling
 from repro.dynamic import DeltaEngine, full_apsp_refresh_count
 from repro.reduction.solver import LpTspSolver, SolveResult, solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
-from repro.service.api import BatchReport, LabelingService, solve_record
+from repro.service.api import solve_record
 from repro.service.cache import CacheStats
 from repro.service.canonical import CanonicalForm, canonical_form
 from repro.service.protocol import SolveRequest, SolveResponse
@@ -91,9 +91,7 @@ __all__ = [
     "SolveResult",
     "solve_labeling",
     "LabelingSession",
-    "LabelingService",
     "solve_record",
-    "BatchReport",
     "SolveRequest",
     "SolveResponse",
     "NetworkServer",

@@ -142,7 +142,8 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     )
 
     # A directory batch is a reproducible job: every record is exact, as
-    # under the serial service.  Only --stream leaves ``auto`` to the router.
+    # in a service-backed session.  Only --stream leaves ``auto`` to the
+    # router.
     tier = "auto" if args.stream else "exact"
 
     def _submit(tag, graph):

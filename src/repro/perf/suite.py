@@ -50,8 +50,8 @@ from repro.labeling.spec import L21
 from repro.perf.environment import environment_provenance
 from repro.perf.schema import PerfRecord, Trajectory
 from repro.reduction.to_tsp import reduce_to_path_tsp
-from repro.service.api import LabelingService
 from repro.service.protocol import SolveRequest
+from repro.service.server import ConcurrentLabelingService
 
 #: Matrix legs a ``--quick`` run sweeps, per the CI perf-gate: one
 #: reduction leg plus the n=512 blocked-oracle smoke.
@@ -105,9 +105,11 @@ def apsp_oracle_scenario(quick: bool, repeats: int) -> PerfRecord:
     solve_g = gen.random_graph_with_diameter_at_most(
         solve_n, 2, seed=1
     ).copy()  # cold oracle
-    before = apsp_run_count()
-    LabelingService().submit(SolveRequest(solve_g, L21, engine="lk"))
-    runs_per_solve = apsp_run_count() - before
+    with ConcurrentLabelingService(workers=1) as svc:
+        before = apsp_run_count()
+        req = SolveRequest(solve_g, L21, engine="lk", tier="exact")
+        svc.submit(req).result()
+        runs_per_solve = apsp_run_count() - before
 
     return PerfRecord(
         # size-suffixed: quick and full runs measure different n and must
@@ -127,8 +129,10 @@ def service_cache_scenario(quick: bool, repeats: int) -> PerfRecord:
     """E11's duplicate-stream claim: a 90%-dup stream through the service.
 
     Each repeat rebuilds the service cold (fresh cache, fresh graph copies)
-    and times one batch; metrics carry the cache counters of the last
-    repeat plus the speedup over per-request from-scratch solving.
+    and times one batch, submitted one request at a time and waited on, so
+    every duplicate finds its original cached; metrics carry the cache
+    counters of the last repeat plus the speedup over per-request
+    from-scratch solving.
     """
     n = 20 if quick else 28
     total = 10 if quick else 16
@@ -147,17 +151,19 @@ def service_cache_scenario(quick: bool, repeats: int) -> PerfRecord:
                         .permutation(n).tolist()),
                 L21,
                 engine=engine,
+                tier="exact",
             )
             for i in range(total)
         ]
 
-    svc: LabelingService | None = None
+    svc: ConcurrentLabelingService | None = None
 
     def run_batch() -> None:
-        """One timed repeat: cold service, one batch of the stream."""
+        """One timed repeat: cold one-worker service, submit-and-wait."""
         nonlocal svc
-        svc = LabelingService()
-        svc.submit_many(make_stream())
+        with ConcurrentLabelingService(workers=1) as svc:
+            for req in make_stream():
+                svc.submit(req).result()
 
     walls = _timed_repeats(run_batch, repeats)
 
@@ -174,7 +180,7 @@ def service_cache_scenario(quick: bool, repeats: int) -> PerfRecord:
 
     t_nocache = statistics.median(_timed_repeats(run_nocache, repeats))
 
-    stats = svc.stats()
+    stats = svc.cache.stats
     median = statistics.median(walls)
     return PerfRecord(
         experiment=f"service_cache:n={n}",

@@ -11,21 +11,17 @@ Layer map (bottom up):
   lock-contention stats the perf baseline gates;
 * :mod:`repro.service.protocol` — the ``SolveRequest``/``SolveResponse``
   schema every service speaks, in process and on the wire;
-* :mod:`repro.service.api` — :func:`solve_canonical`, the one solve every
-  path runs inline, and the synchronous :class:`LabelingService` (serial
-  batches with in-batch dedup) the session layer routes through;
-* :mod:`repro.service.server` — the :class:`ConcurrentLabelingService`
-  front end: bounded submission queue, worker pool (offloading to the
-  persistent process pool on multi-core hosts), in-flight dedup,
-  backpressure and graceful shutdown.
+* :mod:`repro.service.api` — :func:`solve_canonical`, the one inline
+  solve, the cache-key and answer-translation helpers, and the shared
+  JSON record;
+* :mod:`repro.service.server` — :class:`ConcurrentLabelingService`, the
+  one front end (sessions, the CLI, the HTTP tier, experiments and
+  benchmarks all route through it): bounded submission queue, worker
+  pool (offloading to the persistent process pool on multi-core hosts),
+  in-flight dedup, backpressure and graceful shutdown.
 """
 
-from repro.service.api import (
-    BatchReport,
-    LabelingService,
-    solve_canonical,
-    solve_record,
-)
+from repro.service.api import solve_canonical, solve_record
 from repro.service.cache import CachedSolve, CacheStats
 from repro.service.canonical import CanonicalForm, canonical_form, canonical_order
 from repro.service.protocol import SolveRequest, SolveResponse
@@ -33,10 +29,8 @@ from repro.service.server import ConcurrentLabelingService, ServerStats
 from repro.service.shard import ShardedResultCache
 
 __all__ = [
-    "LabelingService",
     "solve_canonical",
     "solve_record",
-    "BatchReport",
     "SolveRequest",
     "SolveResponse",
     "CachedSolve",

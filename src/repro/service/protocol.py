@@ -1,13 +1,13 @@
 """The service protocol: one typed request/response pair, in-process and wire.
 
 :class:`SolveRequest` and :class:`SolveResponse` are the *single* schema the
-whole serving surface speaks.  In process, :meth:`LabelingService.submit
-<repro.service.api.LabelingService.submit>` and
+whole serving surface speaks.  In process,
 :meth:`ConcurrentLabelingService.submit
-<repro.service.server.ConcurrentLabelingService.submit>` accept a
-``SolveRequest`` and answer with a ``SolveResponse``; on the wire, the
-:mod:`repro.net` HTTP server speaks exactly ``SolveRequest.to_json()`` /
-``SolveResponse.to_json()`` as its JSON bodies.  Both directions are
+<repro.service.server.ConcurrentLabelingService.submit>` accepts a
+``SolveRequest`` and answers with a future of a ``SolveResponse``; on the
+wire, the :mod:`repro.net` HTTP server speaks exactly
+``SolveRequest.to_json()`` / ``SolveResponse.to_json()`` as its JSON
+bodies.  Both directions are
 lossless (``from_json(to_json(x))`` reconstructs an equal object), so a
 request serialized by one client, replayed from a log, or round-tripped
 through the NDJSON batch endpoint always means the same instance.
@@ -38,7 +38,7 @@ TIERS = frozenset({"exact", "approx", "auto"})
 
 @dataclass(frozen=True)
 class SolveRequest:
-    """One labeling request — the unit both service flavours accept."""
+    """One labeling request — the unit the service accepts."""
 
     graph: Graph
     spec: LpSpec
@@ -47,8 +47,9 @@ class SolveRequest:
     #: Requested quality tier: ``"exact"`` forces the full engine pipeline,
     #: ``"approx"`` forces the one-pass degraded solver, ``"auto"`` lets
     #: the serving side's :class:`~repro.service.server.QosRouter` decide
-    #: from current pressure.  Plain (non-routed) services treat ``auto``
-    #: as ``exact``.
+    #: from current pressure and instance size.  Callers that need a
+    #: reproducible exact answer (sessions, directory batches) say
+    #: ``"exact"``.
     tier: str = "auto"
     #: Client latency budget in milliseconds; the serving side drops the
     #: request (HTTP 504, counted not errored) once the budget is spent

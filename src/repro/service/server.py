@@ -1,8 +1,11 @@
-"""Concurrent serving front-end: bounded queue, worker pool, in-flight dedup.
+"""The labeling service: bounded queue, worker pool, in-flight dedup.
 
-:class:`~repro.service.api.LabelingService` is a call-and-wait facade — one
-request in, one answer out, the caller's thread does the work.  This module
-adds the serving layer the ROADMAP's traffic target needs:
+:class:`ConcurrentLabelingService` is the one front end over
+:func:`~repro.service.api.solve_canonical` and the sharded result cache —
+sessions, the CLI, the HTTP tier, experiments and benchmarks all submit to
+it.  A caller that wants call-and-wait semantics submits and waits on the
+future (``service.submit(req).result()``); with ``workers=1`` the solve
+runs inline on the one worker thread.  The pieces:
 
 - **Bounded submission queue** — :meth:`ConcurrentLabelingService.submit`
   enqueues work and returns a :class:`~concurrent.futures.Future`
@@ -413,11 +416,11 @@ class ConcurrentLabelingService:
         """Enqueue one request; returns a future of its ``SolveResponse``.
 
         The canonical key is derived on the calling thread (the request's
-        ``analysis`` forwards a pre-computed oracle exactly like
-        :meth:`LabelingService.submit`); everything after that happens on
-        the worker pool.  Identical in-flight requests coalesce onto one
-        solve, but each caller's future resolves in its *own* vertex
-        order.
+        ``analysis`` forwards a pre-computed oracle, e.g. a session's
+        delta-repaired one, so the key costs no APSP run); everything
+        after that happens on the worker pool.  Identical in-flight
+        requests coalesce onto one solve, but each caller's future
+        resolves in its *own* vertex order.
 
         Backpressure: with ``block`` (default: the constructor setting) a
         full queue blocks up to ``timeout`` seconds, then rejects;
@@ -523,10 +526,8 @@ class ConcurrentLabelingService:
         """Translate the internal outcome into one caller's public future.
 
         A ``follower`` (a request that coalesced onto another's in-flight
-        solve) reports ``cached=True`` with zero seconds — the same
-        accounting :meth:`LabelingService.submit_many
-        <repro.service.api.LabelingService.submit_many>` uses for in-batch
-        duplicates: no engine ran *for this request*.  Every
+        solve) reports ``cached=True`` with zero seconds, like a cache
+        hit: no engine ran *for this request*.  Every
         resolution (including errors) lands one end-to-end sample in the
         ``repro_request_seconds`` histogram and counts the public future
         once: ``cancelled`` if it ended cancelled (by shutdown or by its

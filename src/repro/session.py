@@ -6,16 +6,17 @@ raised.  :class:`LabelingSession` wraps the solver with mutate-and-resolve
 semantics and keeps the assignment history, so the examples (and downstream
 users) can model a living network instead of a frozen graph.
 
-Re-solving goes through a shared service when one is supplied — either the
-synchronous :class:`repro.service.LabelingService` or the queued
-:class:`repro.service.server.ConcurrentLabelingService` (the session
-detects the returned future and waits on it) — so mutate-and-resolve loops
-that revisit a topology (undo, A/B probing, oscillating links) get warm
-hits from the shared sharded cache, and many sessions can point at one
-serving front end.  Without a service it falls back to a from-scratch
-:func:`solve_labeling`.  The session's own value is bookkeeping: it
-re-validates after every mutation, records span trajectories, and reports
-which vertices' frequencies changed between assignments.
+Re-solving goes through a shared
+:class:`repro.service.server.ConcurrentLabelingService` when one is
+supplied — the session submits on the exact tier (so it answers exactly
+as a session without a service would) and waits on the future — so
+mutate-and-resolve loops that revisit a topology (undo, A/B probing,
+oscillating links) get warm hits from the shared sharded cache, and many
+sessions can point at one serving front end.  Without a service it falls
+back to a from-scratch :func:`solve_labeling`.  The session's own value is
+bookkeeping: it re-validates after every mutation, records span
+trajectories, and reports which vertices' frequencies changed between
+assignments.
 
 Re-solves take the **dynamic fast path**: a session-held
 :class:`~repro.dynamic.DeltaEngine` repairs the previous version's
@@ -28,7 +29,6 @@ runs.
 
 from __future__ import annotations
 
-from concurrent.futures import Future
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
@@ -41,7 +41,6 @@ from repro.reduction.solver import SolveResult, solve_labeling
 from repro.reduction.validation import analyze
 
 if TYPE_CHECKING:
-    from repro.service.api import LabelingService
     from repro.service.protocol import SolveResponse
     from repro.service.server import ConcurrentLabelingService
 
@@ -99,7 +98,7 @@ class LabelingSession:
         graph: Graph,
         spec: LpSpec,
         engine: str = "auto",
-        service: "LabelingService | ConcurrentLabelingService | None" = None,
+        service: "ConcurrentLabelingService | None" = None,
     ):
         """Copy the graph, bind spec/engine/service, and solve once."""
         self._graph = graph.copy()
@@ -226,7 +225,11 @@ class LabelingSession:
         """Solve the current graph via the service (or inline) and record it."""
         if self.service is not None:
             # forward the repaired oracle explicitly: the canonical cache
-            # key is derived from the same matrix the delta engine repaired
+            # key is derived from the same matrix the delta engine repaired.
+            # The exact tier keeps the router from degrading the answer, so
+            # it matches the service-free path; the session is synchronous
+            # by contract, so wait here (the graph must not mutate while a
+            # worker may still read it)
             from repro.service.protocol import SolveRequest
 
             result = self.service.submit(
@@ -234,14 +237,10 @@ class LabelingSession:
                     graph=self._graph,
                     spec=self.spec,
                     engine=self.engine,
+                    tier="exact",
                     analysis=analysis,
                 )
-            )
-            if isinstance(result, Future):
-                # a ConcurrentLabelingService answers with a future; the
-                # session is synchronous by contract, so wait here (the
-                # graph must not mutate while a worker may still read it)
-                result = result.result()
+            ).result()
         else:
             result = solve_labeling(
                 self._graph, self.spec, engine=self.engine, analysis=analysis
@@ -255,7 +254,7 @@ def session_for_radio_network(
     spec: LpSpec,
     seed: int = 0,
     engine: str = "auto",
-    service: "LabelingService | None" = None,
+    service: "ConcurrentLabelingService | None" = None,
 ) -> tuple[LabelingSession, "object"]:
     """Convenience: a session over a random geometric deployment.
 

@@ -32,7 +32,7 @@ from repro.graphs.traversal import (
 )
 from repro.harness.workloads import DYNAMIC, apply_churn_op, churn_stream
 from repro.labeling.spec import L21
-from repro.service.api import LabelingService
+from repro.service.server import ConcurrentLabelingService
 from repro.session import LabelingSession
 
 
@@ -346,21 +346,21 @@ class TestSessionFastPath:
         assert s.labeling.is_feasible(s.graph, L21)
 
     def test_service_session_reuses_canonical_key_without_apsp(self):
-        svc = LabelingService()
         g = gen.random_graph_with_diameter_at_most(9, 2, seed=4)
-        s = LabelingSession(g, L21, engine="lk", service=svc)
-        absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
-                  if not g.has_edge(u, v)]
-        u, v = absent[0]
-        before = apsp_run_count()
-        s.add_edge(u, v)
-        assert apsp_run_count() == before
-        # undo returns to a cached topology: a warm hit, still zero APSP
-        before = apsp_run_count()
-        delta = s.remove_edge(u, v)
-        assert s.current.cached
-        assert apsp_run_count() == before
-        assert delta.span_after == s.history[0].span
+        with ConcurrentLabelingService(workers=1) as svc:
+            s = LabelingSession(g, L21, engine="lk", service=svc)
+            absent = [(u, v) for u in range(g.n) for v in range(u + 1, g.n)
+                      if not g.has_edge(u, v)]
+            u, v = absent[0]
+            before = apsp_run_count()
+            s.add_edge(u, v)
+            assert apsp_run_count() == before
+            # undo returns to a cached topology: a warm hit, still zero APSP
+            before = apsp_run_count()
+            delta = s.remove_edge(u, v)
+            assert s.current.cached
+            assert apsp_run_count() == before
+            assert delta.span_after == s.history[0].span
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from repro.graphs.traversal import (
 )
 from repro.labeling.spec import L21
 from repro.reduction.solver import solve_labeling
-from repro.service.api import LabelingService
+from repro.service.server import ConcurrentLabelingService
 from repro.service.protocol import SolveRequest
 from repro.session import LabelingSession
 
@@ -255,19 +255,23 @@ def test_plain_solve_computes_apsp_once():
 def test_service_submit_computes_apsp_once():
     """Acceptance: canonical key + miss solve + verify = exactly one APSP."""
     g = gen.random_graph_with_diameter_at_most(10, 2, seed=17).copy()  # cold
-    svc = LabelingService()
-    before = apsp_run_count()
-    result = svc.submit(SolveRequest(g, L21, engine="held_karp"))
-    assert apsp_run_count() == before + 1
-    assert not result.cached
+    with ConcurrentLabelingService(workers=1) as svc:
+        before = apsp_run_count()
+        result = svc.submit(
+            SolveRequest(g, L21, engine="held_karp", tier="exact")
+        ).result()
+        assert apsp_run_count() == before + 1
+        assert not result.cached
 
-    # isomorphic resubmit: one APSP for the new graph's canonical key, none
-    # for solving (served from cache)
-    h = relabel(g, list(reversed(range(g.n))))
-    before = apsp_run_count()
-    again = svc.submit(SolveRequest(h, L21, engine="held_karp"))
-    assert again.cached and again.span == result.span
-    assert apsp_run_count() == before + 1
+        # isomorphic resubmit: one APSP for the new graph's canonical key,
+        # none for solving (served from cache)
+        h = relabel(g, list(reversed(range(g.n))))
+        before = apsp_run_count()
+        again = svc.submit(
+            SolveRequest(h, L21, engine="held_karp", tier="exact")
+        ).result()
+        assert again.cached and again.span == result.span
+        assert apsp_run_count() == before + 1
 
 
 def test_session_mutation_computes_zero_apsp():

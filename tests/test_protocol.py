@@ -25,8 +25,8 @@ from repro.graphs import generators as gen
 from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import L21, LpSpec
-from repro.service.api import LabelingService
 from repro.service.protocol import SolveRequest, SolveResponse
+from repro.service.server import ConcurrentLabelingService
 
 ENGINE = "nearest_neighbor"
 
@@ -54,8 +54,10 @@ def test_request_roundtrip_preserves_canonical_key():
     g = gen.random_graph_with_diameter_at_most(14, 2, seed=3)
     req = SolveRequest(g, L21, engine="lk")
     back = SolveRequest.from_json(req.to_json())
-    key = _composed_key(canonical_form(req.graph, req.spec), req)
-    key_back = _composed_key(canonical_form(back.graph, back.spec), back)
+    key = _composed_key(canonical_form(req.graph, req.spec), req, "exact")
+    key_back = _composed_key(
+        canonical_form(back.graph, back.spec), back, "exact"
+    )
     assert key == key_back, "wire round-trip must hit the same cache entry"
 
 
@@ -138,9 +140,10 @@ def test_old_clients_omitting_new_fields_still_parse():
 
 
 def test_explicit_approx_tier_answers_with_certificate():
-    resp = LabelingService().submit(
-        SolveRequest(gen.cycle_graph(5), L21, tier="approx")
-    )
+    with ConcurrentLabelingService(workers=1) as svc:
+        resp = svc.submit(
+            SolveRequest(gen.cycle_graph(5), L21, tier="approx")
+        ).result()
     assert resp.tier == "approx"
     assert resp.gap is not None and resp.gap >= 0
     assert not resp.exact
@@ -149,9 +152,10 @@ def test_explicit_approx_tier_answers_with_certificate():
 
 
 def test_response_roundtrip_from_live_solve():
-    resp = LabelingService().submit(
-        SolveRequest(gen.cycle_graph(5), L21, engine="held_karp")
-    )
+    with ConcurrentLabelingService(workers=1) as svc:
+        resp = svc.submit(
+            SolveRequest(gen.cycle_graph(5), L21, engine="held_karp")
+        ).result()
     assert isinstance(resp, SolveResponse)
     back = SolveResponse.from_json(resp.to_json())
     assert back == resp
@@ -259,6 +263,7 @@ def test_cli_error_line_carries_code(capsys, tmp_path):
 # the request object is the only submit form
 # ---------------------------------------------------------------------------
 def test_new_submit_does_not_warn(recwarn):
-    svc = LabelingService()
-    svc.submit(SolveRequest(gen.cycle_graph(5), L21, engine=ENGINE))
+    with ConcurrentLabelingService(workers=1) as svc:
+        request = SolveRequest(gen.cycle_graph(5), L21, engine=ENGINE)
+        svc.submit(request).result()
     assert not [w for w in recwarn if w.category is DeprecationWarning]

@@ -1,4 +1,9 @@
-"""LabelingService batches + sessions: dedup, accounting, correctness."""
+"""The service over request streams + sessions: dedup, accounting, correctness.
+
+Every stream is fed submit-and-wait to a one-worker (inline)
+``ConcurrentLabelingService`` on the exact tier, so each duplicate finds
+its original already cached.
+"""
 
 import numpy as np
 import pytest
@@ -7,8 +12,9 @@ from repro.graphs import generators as gen
 from repro.graphs.operations import relabel
 from repro.labeling.spec import L11, L21
 from repro.reduction.solver import solve_labeling
-from repro.service.api import LabelingService, solve_record
+from repro.service.api import solve_record
 from repro.service.protocol import SolveRequest
+from repro.service.server import ConcurrentLabelingService
 from repro.session import LabelingSession, _diff_labels
 
 
@@ -21,139 +27,137 @@ def duplicate_stream(uniques, copies, engine="held_karp"):
     """Each unique graph plus ``copies`` relabeled twins, interleaved."""
     reqs = []
     for i, g in enumerate(uniques):
-        reqs.append(SolveRequest(g, L21, engine=engine, tag=f"u{i}"))
+        reqs.append(
+            SolveRequest(g, L21, engine=engine, tag=f"u{i}", tier="exact")
+        )
         for c in range(copies):
             reqs.append(
                 SolveRequest(
                     random_relabel(g, 31 * i + c), L21, engine=engine,
-                    tag=f"u{i}c{c}",
+                    tag=f"u{i}c{c}", tier="exact",
                 )
             )
     return reqs
 
 
-class TestBatchSolver:
-    """Serial batches through ``LabelingService.submit_many``."""
+def solve_all(svc, reqs):
+    """Submit each request and wait for its answer before the next."""
+    return [svc.submit(r).result() for r in reqs]
 
-    def test_results_in_request_order_and_feasible(self):
+
+@pytest.fixture
+def svc():
+    with ConcurrentLabelingService(workers=1) as service:
+        yield service
+
+
+class TestBatchSolver:
+    """Request streams through one inline service, submit-and-wait."""
+
+    def test_results_in_request_order_and_feasible(self, svc):
         uniques = [
             gen.random_graph_with_diameter_at_most(10, 2, seed=s)
             for s in range(3)
         ]
         reqs = duplicate_stream(uniques, copies=2)
-        results, report = LabelingService().submit_many(reqs)
+        results = solve_all(svc, reqs)
         assert [r.tag for r in results] == [r.tag for r in reqs]
         for req, res in zip(reqs, results):
             assert res.labeling.require_feasible(req.graph, req.spec)
 
-    def test_duplicates_share_span_with_direct_solve(self):
+    def test_duplicates_share_span_with_direct_solve(self, svc):
         g = gen.random_graph_with_diameter_at_most(11, 2, seed=4)
         direct = solve_labeling(g, L21, engine="held_karp").span
-        reqs = duplicate_stream([g], copies=4)
-        results, _ = LabelingService().submit_many(reqs)
+        results = solve_all(svc, duplicate_stream([g], copies=4))
         assert all(r.span == direct for r in results)
         assert sum(not r.cached for r in results) == 1
 
-    def test_report_accounting(self):
+    def test_report_accounting(self, svc):
         uniques = [
             gen.random_graph_with_diameter_at_most(9, 2, seed=s)
             for s in range(2)
         ]
         reqs = duplicate_stream(uniques, copies=3)   # 2 unique, 8 total
-        results, report = LabelingService().submit_many(reqs)
-        assert report.total == 8
-        assert report.unique == 2
-        assert report.solved == 2
-        assert report.deduped == 6
-        assert report.cache_hits == 0
-        assert report.hit_rate == pytest.approx(0.75)
-        assert report.throughput > 0
-        assert "held_karp" in report.engine_seconds
+        solve_all(svc, reqs)
+        assert svc.stats.submitted == 8
+        assert len(svc.cache) == 2
+        assert svc.stats.solved == 2
+        assert svc.stats.hits == 6
+        assert svc.stats.coalesced == 0
+        assert svc.stats.hit_rate == pytest.approx(0.75)
 
-    def test_duplicate_of_evicted_entry_uses_batch_answer(self):
+    def test_duplicate_of_evicted_entry_is_solved_again(self):
         # One-entry cache: g1's solve evicts g0 before g0's twin arrives,
-        # so the twin is answered from the batch's own result.
+        # so the twin is solved again — to the same span, because the
+        # canonical instance and the engine are deterministic.
         g0, g1 = (
             gen.random_graph_with_diameter_at_most(9, 2, seed=s)
             for s in (5, 6)
         )
         reqs = [
-            SolveRequest(g, L21, engine="held_karp")
+            SolveRequest(g, L21, engine="held_karp", tier="exact")
             for g in (g0, g1, random_relabel(g0, 1), random_relabel(g1, 2))
         ]
-        svc = LabelingService(cache_capacity=1)
-        results, report = svc.submit_many(reqs)
+        with ConcurrentLabelingService(workers=1, cache_capacity=1) as svc:
+            results = solve_all(svc, reqs)
         assert len(svc.cache) == 1
-        assert report.solved == 2
-        assert report.deduped == 2
-        assert report.cache_hits == 0
-        assert [r.cached for r in results] == [False, False, True, True]
+        assert svc.stats.solved == 4
+        assert svc.stats.hits == 0
+        assert [r.span for r in results[2:]] == [r.span for r in results[:2]]
         for req, res in zip(reqs, results):
             assert res.labeling.require_feasible(req.graph, req.spec)
 
-    def test_second_batch_hits_warm_cache(self):
-        svc = LabelingService()
+    def test_second_batch_hits_warm_cache(self, svc):
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=1)
-        svc.submit_many([SolveRequest(g, L21, engine="held_karp")])
-        results, report = svc.submit_many(
-            [SolveRequest(random_relabel(g, 9), L21, engine="held_karp")]
+        solve_all(svc, [SolveRequest(g, L21, engine="held_karp")])
+        (result,) = solve_all(
+            svc, [SolveRequest(random_relabel(g, 9), L21, engine="held_karp")]
         )
-        assert results[0].cached
-        assert report.cache_hits == 1 and report.solved == 0
+        assert result.cached
+        assert svc.stats.hits == 1 and svc.stats.solved == 1
 
-    def test_engine_is_part_of_the_key(self):
-        svc = LabelingService()
+    def test_engine_is_part_of_the_key(self, svc):
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=2)
-        svc.submit_many([SolveRequest(g, L21, engine="held_karp")])
-        results, report = svc.submit_many(
-            [SolveRequest(g, L21, engine="two_opt")]
-        )
-        assert not results[0].cached          # different engine, fresh solve
-        assert results[0].engine == "two_opt"
+        solve_all(svc, [SolveRequest(g, L21, engine="held_karp")])
+        (result,) = solve_all(svc, [SolveRequest(g, L21, engine="two_opt")])
+        assert not result.cached          # different engine, fresh solve
+        assert result.engine == "two_opt"
 
-    def test_spec_is_part_of_the_key(self):
-        svc = LabelingService()
+    def test_spec_is_part_of_the_key(self, svc):
         g = gen.cycle_graph(5)
-        _, first = svc.submit_many([SolveRequest(g, L21)])
-        _, second = svc.submit_many([SolveRequest(g, L11)])
-        assert first.solved == 1 and second.solved == 1
-
-    def test_empty_batch(self):
-        results, report = LabelingService().submit_many([])
-        assert results == [] and report.total == 0
-        assert report.hit_rate == 0.0
+        solve_all(svc, [SolveRequest(g, L21)])
+        solve_all(svc, [SolveRequest(g, L11)])
+        assert svc.stats.solved == 2 and svc.stats.hits == 0
 
 
 class TestLabelingService:
-    def test_submit_and_stats(self):
-        svc = LabelingService()
+    def test_submit_and_stats(self, svc):
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=6)
-        first = svc.submit(SolveRequest(g, L21, engine="held_karp"))
-        second = svc.submit(
-            SolveRequest(random_relabel(g, 1), L21, engine="held_karp")
-        )
+        first, second = solve_all(svc, [
+            SolveRequest(g, L21, engine="held_karp"),
+            SolveRequest(random_relabel(g, 1), L21, engine="held_karp"),
+        ])
         assert not first.cached and second.cached
         assert first.span == second.span
-        stats = svc.stats()
+        stats = svc.cache.stats
         assert stats.hits == 1 and stats.misses == 1
 
     def test_cache_persistence_across_services(self, tmp_path):
         path = tmp_path / "service-cache.json"
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=8)
-        warm = LabelingService(cache_path=path)
-        warm.submit(SolveRequest(g, L21, engine="held_karp"))
-        warm.save_cache()
-        cold = LabelingService(cache_path=path)
-        assert cold.submit(
-            SolveRequest(random_relabel(g, 2), L21, engine="held_karp")
-        ).cached
+        with ConcurrentLabelingService(workers=1, cache_path=path) as warm:
+            solve_all(warm, [SolveRequest(g, L21, engine="held_karp")])
+        warm.cache.save()
+        with ConcurrentLabelingService(workers=1, cache_path=path) as cold:
+            (again,) = solve_all(cold, [
+                SolveRequest(random_relabel(g, 2), L21, engine="held_karp")
+            ])
+        assert again.cached
 
-    def test_solve_record_shapes_match(self):
+    def test_solve_record_shapes_match(self, svc):
         g = gen.cycle_graph(5)
         direct = solve_labeling(g, L21, engine="held_karp")
-        service = LabelingService().submit(
-            SolveRequest(g, L21, engine="held_karp")
-        )
+        (service,) = solve_all(svc, [SolveRequest(g, L21, engine="held_karp")])
         a = solve_record(direct, graph=g, spec=L21, include_labels=True)
         b = solve_record(service, graph=g, spec=L21, include_labels=True)
         assert set(a) == set(b)
@@ -163,22 +167,20 @@ class TestLabelingService:
 
 
 class TestSessionServiceIntegration:
-    def test_session_routes_through_shared_service(self):
-        svc = LabelingService()
+    def test_session_routes_through_shared_service(self, svc):
         g = gen.cycle_graph(5)
         s = LabelingSession(g, L21, engine="held_karp", service=svc)
         assert s.span == 4
-        assert svc.stats().misses == 1
+        assert svc.cache.stats.misses == 1
         # a second session on an isomorphic graph is a pure cache hit
         s2 = LabelingSession(
             random_relabel(g, 5), L21, engine="held_karp", service=svc
         )
         assert s2.span == 4
-        assert svc.stats().hits == 1
+        assert svc.cache.stats.hits == 1
         assert s2.current.cached
 
-    def test_mutate_and_revert_gets_warm_hit(self):
-        svc = LabelingService()
+    def test_mutate_and_revert_gets_warm_hit(self, svc):
         s = LabelingSession(gen.cycle_graph(5), L21, engine="held_karp",
                             service=svc)
         s.add_edge(0, 2)
@@ -187,8 +189,7 @@ class TestSessionServiceIntegration:
         assert delta.span_after == 4
         assert s.labeling.is_feasible(s.graph, L21)
 
-    def test_session_history_spans_consistent(self):
-        svc = LabelingService()
+    def test_session_history_spans_consistent(self, svc):
         s = LabelingSession(gen.complete_graph(3), L21, engine="held_karp",
                             service=svc)
         v = s.add_vertex(connect_to=[0, 1, 2])

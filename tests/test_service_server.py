@@ -389,6 +389,19 @@ def test_session_routes_through_concurrent_service():
         assert replay.history[-1].cached
 
 
+def test_service_session_answers_like_a_service_free_session():
+    # n > LARGE_N: an ``auto`` submission would be routed to the approx
+    # tier; a session's solve must stay on the engine it was bound to
+    g = gen.star_graph(300)
+    baseline = LabelingSession(g, L21, engine=ENGINE)
+    with make_server(workers=1) as server:
+        session = LabelingSession(g, L21, engine=ENGINE, service=server)
+    assert session.current.engine == ENGINE
+    assert session.current.tier == "exact"
+    assert session.span == baseline.span
+    assert server.router.counters["approx"] == 0
+
+
 def test_single_worker_matches_multi_worker_results():
     stream = _distinct_graphs(6, n=12)
     spans = []
