@@ -427,7 +427,7 @@ def _metrics_workload() -> None:
 
     The quick workload behind a bare ``repro-label metrics``: the SERVICE
     ``mixed-small`` stream through a 2-worker concurrent server (server
-    counters, queue gauges, latency histograms, cache counters, shard
+    counters, queue gauges, latency histograms, cache counters, cache-lock
     contention) and one dynamic churn pass (APSP and full-refresh
     counters).  Everything runs inline — no process offload — so the
     whole thing finishes in well under a second.
@@ -543,31 +543,19 @@ def _cmd_load(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
     )
     background = None
-    owned_service = None
+    service = None
     if args.url is None:
         from repro.net.server import BackgroundServer
+        from repro.service.server import ConcurrentLabelingService
 
-        kwargs = {}
-        if args.cache_capacity is not None:
-            # NetworkServer only plumbs workers/queue_size/offload, so a
-            # custom cache capacity means building the service ourselves
-            # (and owning its shutdown below).
-            from repro.service.server import ConcurrentLabelingService
-
-            owned_service = ConcurrentLabelingService(
-                workers=args.workers,
-                offload=args.offload,
-                cache_capacity=args.cache_capacity,
-                **({} if args.queue_size is None
-                   else {"queue_size": args.queue_size}),
-            )
-            kwargs["service"] = owned_service
-        else:
-            kwargs["workers"] = args.workers
-            kwargs["offload"] = args.offload
-            if args.queue_size is not None:
-                kwargs["queue_size"] = args.queue_size
-        background = BackgroundServer(**kwargs)
+        sizes = {"queue_size": args.queue_size,
+                 "cache_capacity": args.cache_capacity}
+        service = ConcurrentLabelingService(
+            workers=args.workers,
+            offload=args.offload,
+            **{k: v for k, v in sizes.items() if v is not None},
+        )
+        background = BackgroundServer(service=service)
         url = background.url
         print(f"self-serving on {url}", file=sys.stderr, flush=True)
     else:
@@ -585,8 +573,8 @@ def _cmd_load(args: argparse.Namespace) -> int:
     finally:
         if background is not None:
             background.shutdown(drain=True)
-        if owned_service is not None:
-            owned_service.shutdown(wait=True)
+        if service is not None:
+            service.shutdown(wait=True)
     if args.json:
         print(json.dumps(report.to_json()))
     else:

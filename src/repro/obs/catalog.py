@@ -84,14 +84,14 @@ CATALOG: dict[str, tuple[str, str]] = {
     ),
     "repro_shard_lock_contentions_total": (
         GAUGE,
-        "Shard-lock acquisitions that found the lock held, summed over "
-        "every shard of the most recently built sharded cache.",
+        "Acquisitions of the result cache's lock that found it held, "
+        "for the most recently built cache.",
     ),
     "repro_shard_contention_rate": (
         GAUGE,
-        "Contended shard-lock acquisitions per acquisition (in [0, 1]) of "
-        "the most recently built sharded cache — the perf-gated "
-        "shard_lock_wait signal.",
+        "Contended acquisitions of the result cache's lock per "
+        "acquisition (in [0, 1]) for the most recently built cache — the "
+        "perf-gated shard_lock_wait signal.",
     ),
     # ---- concurrent server --------------------------------------------
     "repro_server_submitted_total": (

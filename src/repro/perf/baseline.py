@@ -50,7 +50,7 @@ METRIC_GATES: dict[str, tuple[str, float]] = {
     # the dynamic engine may never abandon more incremental repairs per
     # churn stream than the committed baseline records
     "full_apsp_refresh_count": ("max", 0.0),
-    # sharded-cache lock contention per operation (SERVICE scenario): the
+    # result-cache lock contention per operation (SERVICE scenario): the
     # slack absorbs scheduler noise, but a design change that reintroduces
     # a global-lock hot spot fails here, not in the timing noise
     "shard_lock_wait": ("max", 0.05),

@@ -390,7 +390,7 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     Serves one mixed hot/cold stream (``harness.workloads.SERVICE``)
     through a fresh :class:`ConcurrentLabelingService` at 1, 4 and (full
     runs) 8 workers, submitting from concurrent client threads so the
-    sharded cache's locks see real contention.  ``wall_seconds`` times the
+    result cache's lock is acquired concurrently.  ``wall_seconds`` times the
     4-worker configuration (the serving default); metrics carry the
     per-width requests/sec, the 4-vs-1 scaling ratio, the deterministic
     ``cache_hit_rate`` (hits + coalesced over submissions — a function of

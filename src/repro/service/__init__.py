@@ -6,9 +6,9 @@ Layer map (bottom up):
   stable cache keys for ``(Graph, LpSpec)`` requests;
 * :mod:`repro.service.cache` — the cache entry and stats types and the
   persisted file-format version;
-* :mod:`repro.service.shard` — the result cache: an LRU split over N
-  independently locked shards, with JSON persistence and the
-  lock-contention stats the perf baseline gates;
+* :mod:`repro.service.shard` — the result cache: one exact LRU behind
+  one lock, with JSON persistence and the lock-contention stats the perf
+  baseline gates;
 * :mod:`repro.service.protocol` — the ``SolveRequest``/``SolveResponse``
   schema every service speaks, in process and on the wire;
 * :mod:`repro.service.api` — :func:`solve_canonical`, the one inline

@@ -1,7 +1,7 @@
 """The labeling service: bounded queue, worker pool, in-flight dedup.
 
 :class:`ConcurrentLabelingService` is the one front end over
-:func:`~repro.service.api.solve_canonical` and the sharded result cache —
+:func:`~repro.service.api.solve_canonical` and the result cache —
 sessions, the CLI, the HTTP tier, experiments and benchmarks all submit to
 it.  A caller that wants call-and-wait semantics submits and waits on the
 future (``service.submit(req).result()``); with ``workers=1`` the solve
@@ -30,9 +30,10 @@ runs inline on the one worker thread.  The pieces:
   coalesce onto one internal solve; every caller still receives its *own*
   future whose result is translated through its own vertex order (two
   isomorphic requests share the solve, never the coordinates).
-- **Sharded cache fast path** — submissions probe the
+- **Cache fast path** — submissions probe the
   :class:`~repro.service.shard.ShardedResultCache` before queueing, so a
-  warm request costs one shard lock and never touches the queue.
+  warm request costs one cache-lock dictionary move and never touches
+  the queue.
 - **Graceful drain/shutdown** — :meth:`shutdown` stops intake, then either
   drains the queue (``wait=True``) or cancels everything still queued
   (``wait=False``); in-progress solves always run to completion so no
@@ -287,7 +288,7 @@ class _Job:
 
 
 class ConcurrentLabelingService:
-    """Thread-pool serving front-end over one sharded result cache.
+    """Thread-pool serving front-end over one LRU result cache.
 
     Parameters
     ----------
@@ -444,8 +445,8 @@ class ConcurrentLabelingService:
         block = self.block if block is None else block
 
         # Fast path: a warm cache answers without touching the queue.  The
-        # probe happens outside the service lock on purpose — it costs one
-        # shard lock, which is the scalable part of the design.
+        # probe happens outside the service lock on purpose: the service
+        # lock is never held across a cache operation.
         entry = self.cache.get(key)
         if entry is not None:
             with self._lock:

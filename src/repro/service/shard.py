@@ -1,26 +1,28 @@
-"""The result cache: an LRU split over N independently locked shards.
+"""The result cache: one exact LRU behind one counting lock.
 
-Under concurrent serving one cache lock becomes the contention point —
-every worker's lookup and every client's fast-path probe serialize on one
-mutex even though they touch different keys.  :class:`ShardedResultCache`
-splits the key space over ``shards`` independent LRU maps (stable CRC32 of
-the key picks the shard), so two operations contend only when they land on
-the same shard: with shards ≫ worker threads the probability is small and
-the expected wait is a fraction of a single-lock design's.  ``shards=1``
-*is* the single-lock design.
+:class:`ShardedResultCache` is an ``OrderedDict`` LRU of
+:class:`~repro.service.cache.CachedSolve` holding at most ``capacity``
+entries.  Every operation is one dictionary move under one
+:class:`_ContentionLock`.  One lock, not a sharded set: no measurement
+has shown the lock contend, and sharding made the LRU inexact.
 
-Each shard's lock additionally *counts contended acquisitions* (an acquire
-that found the lock held), so the serving layer can report a
-``shard_lock_wait`` rate — the perf baseline gates it: sharding the cache
-must never become a regression in disguise.
+The shard names date from that sharded layout, and two things keep them:
+
+- ``servebench/replay.py`` and the public ``repro.ShardedResultCache``
+  import the class by this name from this module;
+- the perf baseline gates ``shard_lock_wait`` (it may never rise, and a
+  missing gated metric is a violation).  The lock's counters,
+  :attr:`~ShardedResultCache.lock_contentions`,
+  :attr:`~ShardedResultCache.contention_rate` and the two
+  ``repro_shard_*`` gauges feed it, so if the one lock ever starts to
+  contend, that gate fails.
 
 Persistence is one JSON file (format version
 :data:`~repro.service.cache._PERSIST_VERSION`), written by :meth:`save`
-and merged on construction when ``path`` exists; the file does not depend
-on the shard count, so any cache warms from any other cache's file.
+and merged on construction when ``path`` exists.
 
 >>> from repro.service.cache import CachedSolve
->>> c = ShardedResultCache(capacity=64, shards=4)
+>>> c = ShardedResultCache(capacity=64)
 >>> c.put("a", CachedSolve((0, 2), 2, "lk", False))
 >>> c.get("a").span
 2
@@ -36,7 +38,6 @@ import json
 import os
 import tempfile
 import threading
-import zlib
 from collections import OrderedDict
 from pathlib import Path
 
@@ -44,13 +45,8 @@ from repro.errors import ReproError
 from repro.obs.metrics import REGISTRY, CounterSet
 from repro.service.cache import _PERSIST_VERSION, CachedSolve, CacheStats
 
-#: Default shard count.  Sixteen shards keep the expected contention rate
-#: under 1/16 per colliding pair while the per-shard overhead (a lock and an
-#: OrderedDict) stays trivial.
-DEFAULT_SHARDS = 16
-
-#: Registry children behind every shard's counts, summed over every shard
-#: of every cache; the keys are the :class:`CacheStats` fields.
+#: Registry children behind every cache's counts, summed over every cache;
+#: the keys are the :class:`CacheStats` fields.
 _CACHE_COUNTERS = {
     "hits": REGISTRY.counter("repro_cache_hits_total").labels(),
     "misses": REGISTRY.counter("repro_cache_misses_total").labels(),
@@ -94,21 +90,43 @@ class _ContentionLock:
         return self._lock.locked()
 
 
-class _CacheShard:
-    """One shard: an LRU map of :class:`CachedSolve` behind a counting lock.
+class ShardedResultCache:
+    """Thread-safe LRU result cache holding at most ``capacity`` entries.
 
-    The critical sections are dictionary moves, so contention is
-    negligible next to any solve.  ``counters`` holds the shard's
-    lifetime :class:`CacheStats` counts.
+    Parameters
+    ----------
+    capacity:
+        Entry budget; a put past it evicts the least recently used entry.
+    path:
+        Optional JSON persistence path: an existing file warm-starts the
+        cache on construction; :meth:`save` writes it.
     """
 
-    def __init__(self, capacity: int) -> None:
-        """An empty shard holding at most ``capacity`` entries."""
+    def __init__(
+        self, capacity: int = 4096, path: str | Path | None = None
+    ) -> None:
+        """An empty cache, warm-started from ``path`` when it exists."""
+        if capacity < 1:
+            raise ReproError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = capacity
+        self.path = Path(path) if path is not None else None
         self._lock = _ContentionLock()
         self._entries: OrderedDict[str, CachedSolve] = OrderedDict()
         self.counters = CounterSet(_CACHE_COUNTERS)
+        # Contention gauges sample this instance through a weak reference —
+        # the most recently built cache owns the gauge, and a collected
+        # cache leaves the last sampled value behind instead of being
+        # pinned alive by the registry.
+        REGISTRY.gauge("repro_shard_contention_rate").set_function(
+            lambda cache: cache.contention_rate, owner=self
+        )
+        REGISTRY.gauge("repro_shard_lock_contentions_total").set_function(
+            lambda cache: cache.lock_contentions, owner=self
+        )
+        if self.path is not None and self.path.exists():
+            self.load(self.path)
 
+    # ------------------------------------------------------------------
     def get(self, key: str) -> CachedSolve | None:
         """Look up a key, counting a hit or miss and refreshing recency."""
         with self._lock:
@@ -131,11 +149,6 @@ class _CacheShard:
             self.counters.add(puts=1)
             self._insert(key, value)
 
-    def _load(self, key: str, value: CachedSolve) -> None:
-        """Insert an entry read from a file: a put that counts no put."""
-        with self._lock:
-            self._insert(key, value)
-
     def _insert(self, key: str, value: CachedSolve) -> None:
         """Insert and evict the LRU overflow; the caller holds the lock."""
         if key in self._entries:
@@ -145,13 +158,8 @@ class _CacheShard:
             self._entries.popitem(last=False)
             self.counters.add(evictions=1)
 
-    def items(self) -> list[tuple[str, CachedSolve]]:
-        """A snapshot of the live entries, LRU first."""
-        with self._lock:
-            return list(self._entries.items())
-
     def clear(self) -> None:
-        """Drop every entry (lifetime stats are preserved)."""
+        """Drop every entry (stats are lifetime counters and survive)."""
         with self._lock:
             self._entries.clear()
 
@@ -165,143 +173,44 @@ class _CacheShard:
         with self._lock:
             return key in self._entries
 
-    @property
-    def lock_contentions(self) -> int:
-        """How many acquisitions of this shard's lock found it held."""
-        return self._lock.contended
-
-
-class ShardedResultCache:
-    """LRU result cache split over independently locked shards.
-
-    Parameters
-    ----------
-    capacity:
-        Total entry budget.  It is split so the shard capacities sum to
-        exactly ``capacity`` (the first ``capacity % shards`` shards hold
-        one entry more); each shard evicts independently, so the total
-        sits under ``capacity`` until every shard is full.
-    shards:
-        Number of independent locks/LRU maps, capped at ``capacity``.
-        ``1`` is the single-lock design.
-    path:
-        Optional JSON persistence path: an existing file warm-starts the
-        cache on construction; :meth:`save` writes it.
-    """
-
-    def __init__(
-        self,
-        capacity: int = 4096,
-        shards: int = DEFAULT_SHARDS,
-        path: str | Path | None = None,
-    ) -> None:
-        """Split ``capacity`` across ``shards`` independent LRU caches."""
-        if capacity < 1:
-            raise ReproError(f"cache capacity must be >= 1, got {capacity}")
-        if shards < 1:
-            raise ReproError(f"shard count must be >= 1, got {shards}")
-        shards = min(shards, capacity)  # a shard needs room for >= 1 entry
-        self.capacity = capacity
-        self.path = Path(path) if path is not None else None
-        base, extra = divmod(capacity, shards)
-        self._shards = tuple(
-            _CacheShard(base + (i < extra)) for i in range(shards)
-        )
-        # Contention gauges sample this instance through a weak reference —
-        # the most recently built sharded cache owns the gauge, and a
-        # collected cache leaves the last sampled value behind instead of
-        # being pinned alive by the registry.
-        REGISTRY.gauge("repro_shard_contention_rate").set_function(
-            lambda cache: cache.contention_rate, owner=self
-        )
-        REGISTRY.gauge("repro_shard_lock_contentions_total").set_function(
-            lambda cache: cache.lock_contentions, owner=self
-        )
-        if self.path is not None and self.path.exists():
-            self.load(self.path)
-
-    # ------------------------------------------------------------------
-    @property
-    def shards(self) -> int:
-        """The number of independent shards."""
-        return len(self._shards)
-
-    def _shard_for(self, key: str) -> _CacheShard:
-        """Stable key→shard routing (CRC32, process-independent)."""
-        return self._shards[zlib.crc32(key.encode("utf-8")) % len(self._shards)]
-
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> CachedSolve | None:
-        """Shard-local lookup, counting a hit or miss and refreshing recency."""
-        return self._shard_for(key).get(key)
-
-    def peek(self, key: str) -> CachedSolve | None:
-        """Shard-local lookup without touching stats or recency."""
-        return self._shard_for(key).peek(key)
-
-    def put(self, key: str, value: CachedSolve) -> None:
-        """Shard-local insert; eviction pressure never crosses shards."""
-        self._shard_for(key).put(key, value)
-
-    def clear(self) -> None:
-        """Empty every shard (stats are lifetime counters and survive)."""
-        for shard in self._shards:
-            shard.clear()
-
-    def __len__(self) -> int:
-        """Live entries summed across shards."""
-        return sum(len(s) for s in self._shards)
-
-    def __contains__(self, key: str) -> bool:
-        """Whether ``key`` is cached (single-shard check, no side effects)."""
-        return key in self._shard_for(key)
-
     # ------------------------------------------------------------------
     @property
     def stats(self) -> CacheStats:
-        """Aggregate counters summed over every shard's lifetime stats."""
-        per_shard = self.shard_stats()
-        return CacheStats(**{
-            name: sum(getattr(s, name) for s in per_shard)
-            for name in _CACHE_COUNTERS
-        })
-
-    def shard_stats(self) -> list[CacheStats]:
-        """Per-shard lifetime counters, in shard order."""
-        return [CacheStats(**s.counters.snapshot()) for s in self._shards]
+        """The cache's lifetime counters."""
+        return CacheStats(**self.counters.snapshot())
 
     @property
     def lock_contentions(self) -> int:
-        """Total contended shard-lock acquisitions across all shards."""
-        return sum(s.lock_contentions for s in self._shards)
+        """How many acquisitions of the cache lock found it held."""
+        return self._lock.contended
 
     @property
     def contention_rate(self) -> float:
         """Contended acquisitions per lock acquisition (the gated metric).
 
-        Numerator and denominator come from the same per-shard lock
-        counters (every operation — ``get``/``peek``/``put``/``len``/
-        persistence — counts), so the rate is exact, stays in ``[0, 1]``
-        by construction, and is comparable across runs of different
-        lengths.  The perf baseline gates this as ``shard_lock_wait``: it
-        may never rise.
+        Numerator and denominator come from the same lock counters (every
+        operation — ``get``/``peek``/``put``/``len``/persistence —
+        counts), so the rate is exact, stays in ``[0, 1]`` by
+        construction, and is comparable across runs of different lengths.
+        The perf baseline gates this as ``shard_lock_wait``: it may never
+        rise.
         """
-        acquisitions = sum(s._lock.acquisitions for s in self._shards)
+        acquisitions = self._lock.acquisitions
         return self.lock_contentions / acquisitions if acquisitions else 0.0
 
     # ------------------------------------------------------------------
     def save(self, path: str | Path | None = None) -> Path:
-        """Persist every shard as one JSON file (atomic rename).
+        """Persist a snapshot of the entries as one JSON file (atomic rename).
 
-        Returns the path written: ``path`` when given, else the cache's
-        own ``path``.
+        The snapshot is taken under the cache lock.  Returns the path
+        written: ``path`` when given, else the cache's own ``path``.
         """
         target = Path(path) if path is not None else self.path
         if target is None:
             raise ReproError("no persistence path configured for this cache")
-        entries = {
-            k: v.to_json() for shard in self._shards for k, v in shard.items()
-        }
+        with self._lock:
+            snapshot = list(self._entries.items())
+        entries = {k: v.to_json() for k, v in snapshot}
         payload = {"version": _PERSIST_VERSION, "entries": entries}
         target.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(
@@ -318,26 +227,37 @@ class ShardedResultCache:
         return target
 
     def load(self, path: str | Path) -> int:
-        """Merge entries from a JSON file, routing each to its shard.
+        """Merge entries from a JSON file; loaded entries count no put.
 
         Returns how many entries the file held.  Unknown versions load
         zero entries (a key-derivation bump makes old entries unreachable
-        anyway, so silently starting cold is correct).
+        anyway, so silently starting cold is correct).  A file that is not
+        a JSON object, or whose ``entries`` is not one, raises
+        :class:`~repro.errors.ReproError`.
         """
         source = Path(path)
         try:
             payload = json.loads(source.read_text(encoding="utf-8"))
         except (OSError, json.JSONDecodeError) as exc:
             raise ReproError(f"unreadable cache file {source}: {exc}") from exc
+        if not isinstance(payload, dict):
+            raise ReproError(
+                f"malformed cache file {source}: not a JSON object"
+            )
         if payload.get("version") != _PERSIST_VERSION:
             return 0
         entries = payload.get("entries", {})
+        if not isinstance(entries, dict):
+            raise ReproError(
+                f"malformed cache file {source}: entries is not a JSON object"
+            )
         try:
             decoded = {
                 str(k): CachedSolve.from_json(d) for k, d in entries.items()
             }
         except (KeyError, TypeError, ValueError) as exc:
             raise ReproError(f"malformed cache file {source}: {exc!r}") from exc
-        for k, entry in decoded.items():
-            self._shard_for(k)._load(k, entry)
+        with self._lock:
+            for k, entry in decoded.items():
+                self._insert(k, entry)
         return len(entries)

@@ -11,7 +11,7 @@ Re-solving goes through a shared
 supplied — the session submits on the exact tier (so it answers exactly
 as a session without a service would) and waits on the future — so
 mutate-and-resolve loops that revisit a topology (undo, A/B probing,
-oscillating links) get warm hits from the shared sharded cache, and many
+oscillating links) get warm hits from the shared result cache, and many
 sessions can point at one serving front end.  Without a service it falls
 back to a from-scratch :func:`solve_labeling`.  The session's own value is
 bookkeeping: it re-validates after every mutation, records span

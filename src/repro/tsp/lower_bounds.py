@@ -87,9 +87,7 @@ def _one_tree(wp: np.ndarray, n: int) -> tuple[float, np.ndarray]:
     return total, degree
 
 
-def certified_gap(
-    instance: TSPInstance, path_length: float, iterations: int = 50
-) -> float:
+def certified_gap(instance: TSPInstance, path_length: float) -> float:
     """An upper bound on ``path_length / OPT_path`` using the MST bound.
 
     MST weight lower-bounds any Hamiltonian path, so the returned ratio is a

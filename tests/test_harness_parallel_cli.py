@@ -267,6 +267,18 @@ class TestCli:
         (record,) = [json.loads(line) for line in out.splitlines()]
         assert record["cached"] is True
 
+    def test_batch_cache_file_of_wrong_shape_is_an_error(
+        self, tmp_path, capfd
+    ):
+        gdir = tmp_path / "graphs"
+        gdir.mkdir()
+        (gdir / "c5.edges").write_text("5 5\n0 1\n1 2\n2 3\n3 4\n4 0\n")
+        cache = tmp_path / "cache.json"
+        cache.write_text("[1, 2]")
+        code, _ = self.run_cli(["batch", str(gdir), "--cache", str(cache)])
+        assert code == 2  # ReproError -> one-line error, exit 2
+        assert capfd.readouterr().err.strip().startswith("error:")
+
     def test_batch_stream_serving_mode(self, capfd):
         import json
         block = "3 3\n0 1\n1 2\n0 2\n"

@@ -364,7 +364,7 @@ class TestLegacyCounterEquivalence:
 
         h0 = REGISTRY.value("repro_cache_hits_total")
         m0 = REGISTRY.value("repro_cache_misses_total")
-        c = ShardedResultCache(capacity=2, shards=1)
+        c = ShardedResultCache(capacity=2)
         c.get("x")
         c.put("x", CachedSolve((0,), 0, "lk", False))
         c.get("x")
@@ -376,7 +376,7 @@ class TestLegacyCounterEquivalence:
         from repro.service.cache import CachedSolve
         from repro.service.shard import ShardedResultCache
 
-        cache = ShardedResultCache(capacity=64, shards=4)
+        cache = ShardedResultCache(capacity=64)
         cache.put("k", CachedSolve((0,), 0, "lk", False))
         cache.get("k")
         assert REGISTRY.value("repro_shard_contention_rate") == (
@@ -513,11 +513,11 @@ def _router_owner():
 
 
 def _cache_owner():
-    """A one-shard cache through misses, hits, puts and evictions."""
+    """A cache through misses, hits, puts and evictions."""
     from repro.service.cache import CachedSolve
     from repro.service.shard import ShardedResultCache
 
-    cache = ShardedResultCache(capacity=2, shards=1)
+    cache = ShardedResultCache(capacity=2)
     for key in ("a", "b", "c", "a", "c"):
         if cache.get(key) is None:
             cache.put(key, CachedSolve((0,), 0, "lk", False))
@@ -525,7 +525,7 @@ def _cache_owner():
         name: (f"repro_cache_{name}_total", {})
         for name in ("hits", "misses", "puts", "evictions")
     }
-    return cache._shards[0].counters, series
+    return cache.counters, series
 
 
 def _oracle_owner():

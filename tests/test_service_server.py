@@ -101,14 +101,10 @@ def test_hammer_no_duplicate_solves_and_consistent_shards():
     assert stats.hits + stats.coalesced == len(requests) - len(bases)
     assert stats.completed == len(requests)
 
-    # shard-stat consistency: hits + misses == lookups, per shard and summed
+    # cache-stat consistency: hits + misses == lookups
     cache = server.cache
     agg = cache.stats
     assert agg.hits + agg.misses == agg.lookups
-    per_shard = cache.shard_stats()
-    assert sum(s.lookups for s in per_shard) == agg.lookups
-    for s in per_shard:
-        assert s.hits + s.misses == s.lookups
     assert 0.0 <= cache.contention_rate <= 1.0
 
 
