@@ -29,7 +29,7 @@ bench-quick:
 	$(PYTHON) -m pytest benchmarks/bench_e12_apsp_oracle.py \
 		benchmarks/bench_e13_dynamic_updates.py \
 		benchmarks/bench_e14_concurrent_service.py \
-		benchmarks/bench_e15_shm_pool.py \
+		benchmarks/bench_e15_worker_pool.py \
 		benchmarks/bench_e16_network_service.py \
 		benchmarks/bench_e17_oracle_scaling.py -q --benchmark-disable \
 		-k "not speedup and not large2048"
@@ -89,13 +89,15 @@ serve:
 # /metrics and fail unless the exposition parses under the Prometheus
 # 0.0.4 grammar.  Low rate on purpose — this is a correctness smoke for
 # the wire path on shared runners; the wire view's end-to-end latency
-# and throughput are measured by servebench/.
+# and throughput are measured by servebench/.  The default 2-worker
+# self-serve solves on the worker pool wherever the host has more than
+# one CPU, the same layout `repro serve` and servebench run.
 LOAD_SMOKE_RATE ?= 20
 LOAD_SMOKE_SECONDS ?= 2
 
 load-smoke:
 	$(PYTHON) -m repro load --rate $(LOAD_SMOKE_RATE) \
-		--duration $(LOAD_SMOKE_SECONDS) --no-offload \
+		--duration $(LOAD_SMOKE_SECONDS) \
 		--fail-on-errors --json --dump-metrics load-smoke.prom
 	$(PYTHON) tools/metrics_lint.py --check-exposition load-smoke.prom
 	@rm -f load-smoke.prom
@@ -113,7 +115,7 @@ OVERLOAD_SMOKE_SECONDS ?= 2
 
 overload-smoke:
 	$(PYTHON) -m repro load --rate $(OVERLOAD_SMOKE_RATE) \
-		--duration $(OVERLOAD_SMOKE_SECONDS) --workers 1 --no-offload \
+		--duration $(OVERLOAD_SMOKE_SECONDS) --workers 1 \
 		--queue-size 4 --cache-capacity 1 --tier auto --deadline-ms 500 \
 		--payload-count 8 --fail-on-errors --expect-approx --json \
 		--dump-metrics overload-smoke.prom

@@ -6,7 +6,7 @@ Four claims, all asserted (so ``make bench`` is also a correctness gate):
    :class:`~repro.service.server.ConcurrentLabelingService` answers every
    request with a labeling **feasible on that request's own graph** and a
    span identical to a cache-free serial reference (one
-   :func:`~repro.service.api.solve_canonical` per request, no dedup) —
+   :func:`~repro.service.api.solve_graph` per request, no dedup) —
    coalescing and coordinate translation never corrupt a result;
 2. **no duplicate solves**: however many threads submit however many
    overlapping requests, the engine runs exactly once per distinct
@@ -14,7 +14,7 @@ Four claims, all asserted (so ``make bench`` is also a correctness gate):
 3. cache-stat consistency: hits + misses == lookups, and the
    ``shard_lock_wait`` contention rate stays in ``[0, 1]``;
 4. on a multi-core host, 4 workers serve the cold-scaling stream at
-   **>= 2x** the requests/sec of 1 worker (process-offloaded solves) —
+   **>= 2x** the requests/sec of 1 worker (solves on the worker pool) —
    the scaling floor the SERVICE perf scenario re-measures into every
    ``BENCH_<k>.json``.  Deselected from ``make bench-quick`` (per-push CI)
    by ``-k "not speedup"`` and skipped below 4 CPUs: a parallel-scaling
@@ -31,16 +31,16 @@ import pytest
 
 from repro.harness.workloads import SERVICE, service_stream
 from repro.parallel.pool import effective_cpu_count
-from repro.service.api import solve_canonical
-from repro.service.canonical import canonical_form
+from repro.service.api import solve_graph
+from repro.service.canonical import canonical_form, canonical_instance
 from repro.service.server import ConcurrentLabelingService
 
 LEG = SERVICE["mixed-dense"]
 
 
-def serve_stream(stream, workers: int, clients: int = 4, **kwargs):
+def serve_stream(stream, workers: int, clients: int = 4):
     """Serve ``stream`` on a fresh server; returns (wall_seconds, server)."""
-    server = ConcurrentLabelingService(workers=workers, **kwargs)
+    server = ConcurrentLabelingService(workers=workers)
     server.prewarm()  # pool start-up must not pollute the timed region
     t0 = time.perf_counter()
     with ThreadPoolExecutor(max_workers=clients) as pool:
@@ -56,18 +56,28 @@ def serve_stream(stream, workers: int, clients: int = 4, **kwargs):
     return wall, server, [f.result() for f in futures]
 
 
-def serial_spans(stream) -> list[int]:
-    """Reference spans: every request solved on its own, exact tier."""
-    return [
-        solve_canonical(canonical_form(r.graph, r.spec), r, "exact")[0].span
-        for r in stream
-    ]
+def serial_answers(stream) -> list[tuple[int, tuple[int, ...]]]:
+    """Reference ``(span, labels)`` per request, each solved on its own.
+
+    Exact tier, inline, no cache and no dedup; the labels are translated
+    into the request's own vertex order, as a served answer's are.
+    """
+    answers = []
+    for r in stream:
+        form = canonical_form(r.graph, r.spec)
+        entry, _ = solve_graph(
+            canonical_instance(form, r.graph), r.spec, r.engine, "exact"
+        )
+        answers.append((entry.span, form.from_canonical_labels(entry.labels)))
+    return answers
 
 
 def test_concurrent_matches_serial_and_feasible():
     stream = service_stream(LEG)
     _wall, _server, results = serve_stream(stream, workers=4)
-    assert [r.span for r in results] == serial_spans(stream)
+    assert [r.span for r in results] == [
+        span for span, _ in serial_answers(stream)
+    ]
     for req, res in zip(stream, results):
         res.labeling.require_feasible(req.graph, req.spec)
 
@@ -98,7 +108,7 @@ def test_cache_stats_consistent():
 @pytest.mark.skipif(
     effective_cpu_count() < 4,
     reason="4-worker scaling floor needs >= 4 effective CPUs "
-    "(process-offloaded solves; affinity masks count)",
+    "(solves on the worker pool; affinity masks count)",
 )
 def test_workers_speedup_floor():
     # the cold-scaling leg is all-cold: nothing to dedup, every request an
@@ -108,9 +118,7 @@ def test_workers_speedup_floor():
     def best_rps(workers: int, repeats: int = 3) -> float:
         best = 0.0
         for _ in range(repeats):
-            wall, _server, _ = serve_stream(
-                service_stream(leg), workers=workers, offload=workers > 1
-            )
+            wall, _server, _ = serve_stream(service_stream(leg), workers)
             best = max(best, leg.requests / wall)
         return best
 

@@ -2,20 +2,24 @@
 
 Three claims, all asserted (so ``make bench`` is also a correctness gate):
 
-1. **serial equivalence** — the pool-offloaded server answers a cold
-   request stream with exactly the spans (and per-request feasibility) of
-   a cache-free serial reference (one
-   :func:`~repro.service.api.solve_canonical` per request): crossing the
-   process boundary changes nothing observable;
+1. **serial equivalence** — the pooled server answers a cold request
+   stream with exactly the spans and labels (and per-request
+   feasibility) of a cache-free serial reference (one inline
+   :func:`~repro.service.api.solve_graph` per request): crossing the
+   process boundary is bit-identical;
 2. **no graph pickling on the hot path** — with ``Graph.__reduce__``
-   rigged to raise, the offloaded serve still completes: only the
-   canonical numpy arrays and small tuples cross the pipe, the old
+   rigged to raise, the pooled serve still completes: only the
+   canonical numpy arrays and small values cross the pipe, the old
    pickle-the-instance design physically cannot sneak back;
 3. on a multi-core host, the pool serves the cold-scaling stream at
    **>= 2x** 1-worker throughput (the ``workers_speedup_4`` perf gate's
    floor).  Named with ``speedup`` so ``make bench-quick`` deselects it
    (``-k "not speedup"``); the CI pool-scaling job runs it on a >= 4-vCPU
    runner.
+
+The first two claims and the timed benchmark run on the pool whatever
+the host: the ``pooled`` fixture makes the service see two CPUs, the
+one input its pool-or-inline rule reads.
 """
 
 from __future__ import annotations
@@ -25,22 +29,41 @@ import pytest
 from repro.graphs.graph import Graph
 from repro.harness.workloads import SERVICE, service_stream
 from repro.labeling.spec import LpSpec
+from repro.obs.metrics import REGISTRY
 from repro.parallel.pool import effective_cpu_count
 
-from bench_e14_concurrent_service import serial_spans, serve_stream
+from bench_e14_concurrent_service import serial_answers, serve_stream
 
 LEG = SERVICE["cold-scaling"]
 
 
-def test_offloaded_stream_matches_serial():
+@pytest.fixture
+def pooled(monkeypatch):
+    """Services built in the test run their exact solves on the pool."""
+    monkeypatch.setattr("repro.service.server.effective_cpu_count", lambda: 2)
+
+
+def pool_dispatches() -> float:
+    """Calls the 2-wide worker pools have dispatched in this process."""
+    return sum(
+        REGISTRY.value("repro_pool_dispatch_total", worker=str(i))
+        for i in range(2)
+    )
+
+
+def test_offloaded_stream_matches_serial(pooled):
     stream = service_stream(LEG)
-    _wall, _server, results = serve_stream(stream, workers=2, offload=True)
-    assert [r.span for r in results] == serial_spans(stream)
+    before = pool_dispatches()
+    _wall, _server, results = serve_stream(stream, workers=2)
+    assert pool_dispatches() - before == LEG.unique  # every solve crossed
+    assert [(r.span, r.labeling.labels) for r in results] == serial_answers(
+        stream
+    )
     for req, res in zip(stream, results):
         res.labeling.require_feasible(req.graph, req.spec)
 
 
-def test_no_graph_pickling_on_hot_path(monkeypatch):
+def test_no_graph_pickling_on_hot_path(monkeypatch, pooled):
     def _refuse(self):
         raise AssertionError(
             "Graph crossed the process boundary by pickle; the serving "
@@ -49,7 +72,7 @@ def test_no_graph_pickling_on_hot_path(monkeypatch):
 
     monkeypatch.setattr(Graph, "__reduce__", _refuse)
     stream = service_stream(LEG)[:4]
-    _wall, server, results = serve_stream(stream, workers=2, offload=True)
+    _wall, server, results = serve_stream(stream, workers=2)
     assert len(results) == 4
     assert server.stats.solved == 4
     for req, res in zip(stream, results):
@@ -66,9 +89,7 @@ def test_pool_speedup_floor():
     def best_rps(workers: int, repeats: int = 3) -> float:
         best = 0.0
         for _ in range(repeats):
-            wall, _server, _ = serve_stream(
-                service_stream(LEG), workers=workers, offload=workers > 1
-            )
+            wall, _server, _ = serve_stream(service_stream(LEG), workers)
             best = max(best, LEG.requests / wall)
         return best
 
@@ -81,11 +102,11 @@ def test_pool_speedup_floor():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_bench_cold_stream(benchmark, workers):
+def test_bench_cold_stream(benchmark, pooled, workers):
     stream = service_stream(LEG)
 
     def run():
-        return serve_stream(stream, workers=workers, offload=workers > 1)
+        return serve_stream(stream, workers=workers)
 
     _wall, server, results = benchmark(run)
     assert len(results) == LEG.requests

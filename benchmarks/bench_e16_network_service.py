@@ -40,6 +40,11 @@ RATE = 25.0          # req/s: far below single-worker capacity on a warm cache
 DURATION = 1.0       # seconds per load leg
 
 
+def serve() -> BackgroundServer:
+    """A live server over a fresh 2-worker service, as `repro serve` runs."""
+    return BackgroundServer(ConcurrentLabelingService(workers=2))
+
+
 def post_solve(url: str, request: SolveRequest) -> SolveResponse:
     body = json.dumps(request.to_json()).encode()
     http = urllib.request.Request(url + "/solve", data=body, method="POST")
@@ -62,7 +67,7 @@ def test_wire_matches_in_process():
             local.submit(dataclasses.replace(r, tier="exact")).result()
             for r in requests
         ]
-    with BackgroundServer(workers=2, offload=False) as server:
+    with serve() as server:
         served = [post_solve(server.url, r) for r in requests]
     for want, got, req in zip(expected, served, requests):
         assert got.span == want.span and got.engine == want.engine
@@ -71,7 +76,7 @@ def test_wire_matches_in_process():
 
 
 def test_low_rate_load_zero_errors():
-    with BackgroundServer(workers=2, offload=False) as server:
+    with serve() as server:
         report = run_load(
             server.url, rates=[RATE], duration=DURATION, seed=0
         )
@@ -86,7 +91,7 @@ def test_low_rate_load_zero_errors():
 
 
 def test_scraped_metrics_parse_and_cover_http_families():
-    with BackgroundServer(workers=2, offload=False) as server:
+    with serve() as server:
         run_load(server.url, rates=[10.0], duration=0.5, seed=1)
         with urllib.request.urlopen(server.url + "/metrics", timeout=30) as r:
             assert r.headers["Content-Type"].startswith(
@@ -102,7 +107,7 @@ def test_scraped_metrics_parse_and_cover_http_families():
 
 def test_bench_open_loop_ramp(benchmark):
     payloads = default_payload_instances(count=4, n=12, engine="lk", seed=0)
-    with BackgroundServer(workers=2, offload=False) as server:
+    with serve() as server:
         # warm the cache so the timed laps measure wire cost, not solves
         run_load(
             server.url, rates=[10.0], duration=0.5,

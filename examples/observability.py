@@ -11,7 +11,7 @@ end and then reads everything the observability layer recorded about it:
   workers cannot beat ~1x on a single core (the GIL ceiling the perf
   suite records as ``workers_speedup_4``),
 * one trace tree crossing the client thread, a worker thread, and (on
-  multi-core hosts) the process-offload boundary,
+  multi-core hosts) the worker-pool process boundary,
 * a profiled solve whose hot-spot rows land on the active span.
 
 Run:  python examples/observability.py

@@ -23,7 +23,7 @@ Subcommands
 
 ``solve``, ``batch`` and ``dynamic`` accept ``--trace FILE``: the run is
 wrapped in a root span and every span recorded in-process (including
-spans shipped back across the process-offload boundary) is written to
+spans shipped back from worker-pool processes) is written to
 ``FILE`` as NDJSON on exit.
 
 Expected failures (missing files, unknown legs, invalid trajectories)
@@ -137,7 +137,6 @@ def _cmd_batch(args: argparse.Namespace) -> int:
     server = ConcurrentLabelingService(
         workers=args.workers,
         queue_size=args.queue_size,
-        offload=args.offload,
         cache_path=args.cache,
     )
 
@@ -426,11 +425,12 @@ def _metrics_workload() -> None:
     """Drive traffic through every instrumented layer of the stack.
 
     The quick workload behind a bare ``repro-label metrics``: the SERVICE
-    ``mixed-small`` stream through a 2-worker concurrent server (server
+    ``mixed-small`` stream through a 1-worker concurrent server (server
     counters, queue gauges, latency histograms, cache counters, cache-lock
     contention) and one dynamic churn pass (APSP and full-refresh
-    counters).  Everything runs inline — no process offload — so the
-    whole thing finishes in well under a second.
+    counters).  One worker solves inline on every host, so the exposition
+    does not depend on the CPU count, and the whole thing finishes in
+    well under a second.
     """
     from concurrent.futures import wait
 
@@ -443,7 +443,7 @@ def _metrics_workload() -> None:
     )
     from repro.service.server import ConcurrentLabelingService
 
-    server = ConcurrentLabelingService(workers=2, offload=False)
+    server = ConcurrentLabelingService(workers=1)
     try:
         futures = [
             server.submit(r) for r in service_stream(SERVICE["mixed-small"])
@@ -492,15 +492,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     import signal
 
     from repro.net.server import NetworkServer
+    from repro.service.server import ConcurrentLabelingService
 
     async def _run() -> None:
-        server = NetworkServer(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_size=args.queue_size,
-            offload=args.offload,
+        service = ConcurrentLabelingService(
+            workers=args.workers, queue_size=args.queue_size
         )
+        server = NetworkServer(service, host=args.host, port=args.port)
         await server.start()
         print(f"serving on {server.url}", file=sys.stderr, flush=True)
         stop = asyncio.Event()
@@ -543,7 +541,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
         deadline_ms=args.deadline_ms,
     )
     background = None
-    service = None
     if args.url is None:
         from repro.net.server import BackgroundServer
         from repro.service.server import ConcurrentLabelingService
@@ -552,10 +549,9 @@ def _cmd_load(args: argparse.Namespace) -> int:
                  "cache_capacity": args.cache_capacity}
         service = ConcurrentLabelingService(
             workers=args.workers,
-            offload=args.offload,
             **{k: v for k, v in sizes.items() if v is not None},
         )
-        background = BackgroundServer(service=service)
+        background = BackgroundServer(service)
         url = background.url
         print(f"self-serving on {url}", file=sys.stderr, flush=True)
     else:
@@ -573,8 +569,6 @@ def _cmd_load(args: argparse.Namespace) -> int:
     finally:
         if background is not None:
             background.shutdown(drain=True)
-        if service is not None:
-            service.shutdown(wait=True)
     if args.json:
         print(json.dumps(report.to_json()))
     else:
@@ -650,16 +644,6 @@ def build_parser() -> argparse.ArgumentParser:
     b.add_argument(
         "--queue-size", type=int, default=64, metavar="N",
         help="submission-queue high-water mark (default 64)",
-    )
-    offload = b.add_mutually_exclusive_group()
-    offload.add_argument(
-        "--offload", dest="offload", action="store_true", default=None,
-        help="force cold solves onto the persistent worker pool "
-             "(default: auto — offload when >1 worker and >1 effective CPU)",
-    )
-    offload.add_argument(
-        "--no-offload", dest="offload", action="store_false",
-        help="force cold solves inline on the worker threads",
     )
     b.add_argument(
         "--metrics-dump", default=None, metavar="FILE",
@@ -746,17 +730,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="bind port (0 = ephemeral)")
     sv.add_argument("--workers", type=int, default=4,
                     help="labeling-service worker threads")
-    sv.add_argument("--queue-size", type=int, default=None,
-                    help="submission-queue high-water mark (backpressure)")
-    sv.add_argument(
-        "--offload", default=None, action="store_true",
-        help="force solve offload to the persistent worker pool "
-             "(default: auto-detect from effective CPU count)",
-    )
-    sv.add_argument(
-        "--no-offload", dest="offload", action="store_false",
-        help="force inline solves on the worker threads",
-    )
+    sv.add_argument("--queue-size", type=int, default=64,
+                    help="submission-queue high-water mark (backpressure, "
+                         "default 64)")
     sv.set_defaults(fn=_cmd_serve)
 
     lo = sub.add_parser(
@@ -780,10 +756,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="arrival-process and payload-pool seed")
     lo.add_argument("--workers", type=int, default=2,
                     help="self-serve mode: server worker threads")
-    lo.add_argument(
-        "--no-offload", dest="offload", action="store_false", default=None,
-        help="self-serve mode: force inline solves",
-    )
     lo.add_argument("--queue-size", type=int, default=None,
                     help="self-serve mode: submission-queue high-water mark")
     lo.add_argument(

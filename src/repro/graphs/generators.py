@@ -266,13 +266,6 @@ def random_graph_with_diameter_at_most(
     return g
 
 
-def random_diameter2_graph(
-    n: int, density: float = 0.5, seed: int | np.random.Generator | None = None
-) -> Graph:
-    """A random graph with diameter exactly <= 2 (Corollary 2 instances)."""
-    return random_graph_with_diameter_at_most(n, 2, seed=_rng(seed))
-
-
 def random_geometric_graph(
     n: int,
     radius: float,

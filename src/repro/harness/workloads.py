@@ -44,11 +44,6 @@ def _diam3(n: int, seed: int) -> Graph:
     return gen.random_graph_with_diameter_at_most(n, 3, seed=seed)
 
 
-def _dense(n: int, seed: int) -> Graph:
-    """Dense diameter-2 variant (Generator-seeded edge draw)."""
-    return gen.random_graph_with_diameter_at_most(n, 2, seed=np.random.default_rng(seed))
-
-
 def _geometric(n: int, seed: int) -> Graph:
     # radius tuned to keep the diameter small at moderate n
     """Random geometric radio-network graph at a diameter-friendly radius."""

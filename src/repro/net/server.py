@@ -32,8 +32,8 @@ table).
 
 Shutdown is graceful: :meth:`NetworkServer.shutdown` stops the listener,
 lets every in-flight request finish, answers late submissions on
-still-open connections with 503 (``service_closed``), then drains the
-underlying labeling service.
+still-open connections with 503 (``service_closed``), then retires the
+labeling service it fronts.
 
 The event loop owns all connection state; CPU-heavy work — canonical-form
 key derivation inside ``submit`` and the solves themselves — happens on
@@ -95,35 +95,24 @@ class NetworkServer:
 
     Parameters
     ----------
+    service:
+        The :class:`ConcurrentLabelingService` to expose.  The server
+        takes it over: :meth:`shutdown` retires it.
     host / port:
         Bind address.  ``port=0`` picks an ephemeral port (read it back
         from :attr:`port` after :meth:`start`).
-    service:
-        An existing :class:`ConcurrentLabelingService` to expose; the
-        caller keeps ownership (shutdown leaves it running).  When omitted
-        the server builds its own from ``workers`` / ``queue_size`` /
-        ``offload`` and drains it on shutdown.
     """
 
     def __init__(
         self,
+        service: ConcurrentLabelingService,
         host: str = "127.0.0.1",
         port: int = 0,
-        service: ConcurrentLabelingService | None = None,
-        workers: int = 4,
-        queue_size: int | None = None,
-        offload: bool | None = None,
     ) -> None:
         """Bind configuration; the socket opens in :meth:`start`."""
+        self.service = service
         self.host = host
         self.port = port
-        self._owns_service = service is None
-        if service is None:
-            kwargs = {} if queue_size is None else {"queue_size": queue_size}
-            service = ConcurrentLabelingService(
-                workers=workers, offload=offload, **kwargs
-            )
-        self.service = service
         self._server: asyncio.base_events.Server | None = None
         self._closing = False
         self._shut_down = asyncio.Event()
@@ -345,8 +334,8 @@ class NetworkServer:
         With ``drain=True`` (default) every request already being answered
         runs to completion — late submissions arriving on still-open
         keep-alive connections get 503 ``service_closed`` — and then the
-        owned labeling service drains its queue.  ``drain=False`` cancels
-        queued work instead.  Idempotent.
+        labeling service drains its queue and shuts down.  ``drain=False``
+        cancels queued work instead.  Idempotent.
         """
         if self._closing and self._shut_down.is_set():
             return
@@ -358,10 +347,9 @@ class NetworkServer:
             await self._quiet.wait()
         for writer in list(self._writers):
             writer.close()
-        if self._owns_service:
-            await asyncio.get_running_loop().run_in_executor(
-                None, functools.partial(self.service.shutdown, wait=drain)
-            )
+        await asyncio.get_running_loop().run_in_executor(
+            None, functools.partial(self.service.shutdown, wait=drain)
+        )
         self._shut_down.set()
 
 
@@ -377,14 +365,17 @@ class BackgroundServer:
     ``qos_overload`` scenario, ``repro-label load`` self-serve mode) get a
     live TCP port without touching asyncio:
 
-    constructor starts the loop + server and blocks until the socket is
-    bound; :meth:`shutdown` runs the graceful drain on the loop and joins
-    the thread.  Usable as a context manager.
+    constructor starts the loop + a server over ``service`` and blocks
+    until the socket is bound; :meth:`shutdown` runs the graceful drain
+    on the loop (which retires the service) and joins the thread.  Usable
+    as a context manager.
     """
 
-    def __init__(self, timeout: float = 30.0, **server_kwargs) -> None:
+    def __init__(
+        self, service: ConcurrentLabelingService, timeout: float = 30.0
+    ) -> None:
         """Start the loop thread and wait for the socket to bind."""
-        self._kwargs = server_kwargs
+        self._service = service
         self._loop: asyncio.AbstractEventLoop | None = None
         self.server: NetworkServer | None = None
         self._ready = threading.Event()
@@ -407,7 +398,7 @@ class BackgroundServer:
 
         async def main() -> None:
             try:
-                self.server = NetworkServer(**self._kwargs)
+                self.server = NetworkServer(self._service)
                 await self.server.start()
             except BaseException as exc:    # surface to the constructor
                 self._startup_error = exc

@@ -6,19 +6,19 @@ nothing under the GIL; processes are the right tool.  Two shapes:
 - :func:`parallel_map` — a one-shot ``ProcessPoolExecutor`` map for sweeps
   and portfolios.  Everything submitted through it must be a module-level
   callable plus plain-data arguments.
-- :class:`WorkerPool` — the serving path's long-lived worker processes
-  behind one blocking call.  :meth:`~WorkerPool.solve` checks out an idle
-  worker, sends it a canonical graph's exported arrays (distance matrix
-  plus CSR adjacency, see :func:`repro.graphs.analysis.export_buffers`)
-  and a ``(key, p, engine)`` tuple through its pipe, and reads the reply
-  on the caller's thread.  Only numpy arrays and small tuples cross the
-  pipe, never a :class:`~repro.graphs.graph.Graph`; the worker rebuilds
-  the graph with :func:`~repro.graphs.analysis.adopt_buffers` and keeps
-  nothing between calls.  A worker that dies mid-call makes that call
-  raise :class:`~repro.errors.WorkerCrashedError`, is respawned, and is
-  counted in ``repro_pool_worker_restarts_total`` — callers never hang.
+- :class:`WorkerPool` — long-lived worker processes behind one blocking
+  call.  :meth:`~WorkerPool.call` checks out an idle worker, sends it a
+  module-level function and its arguments through the worker's pipe, and
+  reads the reply on the caller's thread.  The pool knows nothing of what
+  it runs; the serving path sends
+  :func:`repro.service.api.solve_buffers` plus a canonical graph's
+  exported arrays, so only numpy arrays and small values cross the pipe.
+  Workers keep nothing between calls.  A worker that dies mid-call makes
+  that call raise :class:`~repro.errors.WorkerCrashedError`, is
+  respawned, and is counted in ``repro_pool_worker_restarts_total`` —
+  callers never hang.
 
-Trace spans propagate across the boundary: the worker runs each solve
+Trace spans propagate across the boundary: the worker runs each call
 under a ``solve.offload`` span parented to the caller's active context
 and ships its drained span rows back for the parent tracer to ingest.
 """
@@ -31,9 +31,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
-from typing import Callable, Iterable, Iterator, Sequence, TypeVar
-
-import numpy as np
+from typing import Callable, Iterable, TypeVar
 
 from repro.errors import ReproError, WorkerCrashedError
 from repro.obs.metrics import REGISTRY, CounterSet
@@ -53,10 +51,10 @@ def effective_cpu_count() -> int:
     ``os.sched_getaffinity(0)`` respects cgroup/container CPU masks and
     ``taskset`` pinning, which bare ``os.cpu_count()`` ignores — under a
     pinned CI leg or a containerized runner the two can disagree by an
-    order of magnitude, and every scaling decision (offload auto-detect,
-    multi-core bench floors, perf provenance) must use the effective
-    number.  Falls back to ``os.cpu_count()`` where affinity is
-    unsupported (macOS, Windows).
+    order of magnitude, and every scaling decision (the service's
+    pool-or-inline rule, multi-core bench floors, perf provenance) must
+    use the effective number.  Falls back to ``os.cpu_count()`` where
+    affinity is unsupported (macOS, Windows).
     """
     try:
         return len(os.sched_getaffinity(0)) or 1
@@ -67,14 +65,6 @@ def effective_cpu_count() -> int:
 def default_workers() -> int:
     """Effective CPU count with a small safety margin, at least 1."""
     return max(1, effective_cpu_count() - 1)
-
-
-def chunked(items: Sequence[T], size: int) -> Iterator[Sequence[T]]:
-    """Yield successive chunks of ``size`` items (last may be short)."""
-    if size < 1:
-        raise ValueError(f"chunk size must be >= 1, got {size}")
-    for i in range(0, len(items), size):
-        yield items[i : i + size]
 
 
 def parallel_map(
@@ -100,37 +90,13 @@ def parallel_map(
 # ---------------------------------------------------------------------------
 # the serving pool: worker side
 # ---------------------------------------------------------------------------
-def _solve(buffers: dict[str, np.ndarray], job: tuple) -> tuple:
-    """Solve one ``(key, p, engine)`` job on the graph ``buffers`` encode."""
-    from repro.graphs.analysis import adopt_buffers
-    from repro.labeling.spec import LpSpec
-    from repro.reduction.solver import solve_labeling
-
-    distances = buffers["distances"]
-    graph = adopt_buffers(
-        distances.shape[0], buffers["indptr"], buffers["indices"], distances
-    )
-    key, p, engine = job
-    t0 = time.perf_counter()
-    result = solve_labeling(graph, LpSpec(p), engine=engine)
-    seconds = time.perf_counter() - t0
-    return (
-        key,
-        result.labeling.labels,
-        result.span,
-        result.engine,
-        result.exact,
-        seconds,
-    )
-
-
 def _worker_main(conn) -> None:
-    """Worker-process loop: rebuild, solve, reply — until the stop sentinel.
+    """Worker-process loop: run one call per message until the stop sentinel.
 
-    Messages in: ``("job", buffers, (key, p, engine), ctx_row)`` or
-    ``None`` (clean shutdown).  Messages out: ``("ready", pid)`` once,
-    then ``("result", ok, payload, spans)`` per job.  Failures are shipped
-    back as exception objects; the parent re-raises them in the caller.
+    Messages in: ``(fn, args, ctx_row)`` or ``None`` (clean shutdown).
+    Messages out: ``("ready", pid)`` once, then ``(ok, payload, spans)``
+    per call.  Failures are shipped back as exception objects; the parent
+    re-raises them in the caller.
     """
     TRACER.drain()  # a fork-inherited buffer must not replay parent spans
     try:
@@ -142,21 +108,19 @@ def _worker_main(conn) -> None:
                 return
             if msg is None:
                 return
-            _, buffers, job, ctx_row = msg
+            fn, args, ctx_row = msg
             spans: tuple = ()
             try:
                 if ctx_row is None:
-                    payload = _solve(buffers, job)
+                    payload = fn(*args)
                 else:
                     with TRACER.activate(SpanContext(**ctx_row)):
-                        with TRACER.span(
-                            "solve.offload", pid=os.getpid(), key=job[0]
-                        ):
-                            payload = _solve(buffers, job)
+                        with TRACER.span("solve.offload", pid=os.getpid()):
+                            payload = fn(*args)
                     spans = tuple(s.to_json() for s in TRACER.drain())
-                out = ("result", True, payload, spans)
+                out = (True, payload, spans)
             except BaseException as exc:
-                out = ("result", False, _portable(exc), ())
+                out = (False, _portable(exc), ())
             try:
                 conn.send(out)
             except (BrokenPipeError, OSError):
@@ -210,7 +174,7 @@ class WorkerPool:
     """Persistent worker processes, each serving one blocking call at a time.
 
     A call takes the longest-idle worker (a FIFO of slot indices), sends it
-    ``(buffers, job)`` and reads the reply on the calling thread; with
+    ``(fn, args)`` and reads the reply on the calling thread; with
     every worker busy, callers wait for one to come back.  The pool starts
     no thread of its own.  ``counters`` holds ``restarts`` plus one
     dispatch count per slot, named by the slot index.
@@ -300,33 +264,28 @@ class WorkerPool:
         return max(dispatched) / (total / self.workers) if total else 1.0
 
     # ------------------------------------------------------------------
-    def solve(self, buffers: dict[str, np.ndarray], job: tuple) -> tuple:
-        """Solve one ``(key, p, engine)`` job on a worker; blocks for it.
+    def call(self, fn: Callable[..., R], *args) -> R:
+        """Run ``fn(*args)`` on an idle worker and return what it returns.
 
-        ``buffers`` is the canonical graph as
-        :func:`~repro.graphs.analysis.export_buffers` returns it; it is
-        pickled into the worker's pipe with the job.  Returns the
-        worker's ``(key, labels, span, engine, exact, seconds)`` tuple,
-        or raises what the solve raised — :class:`WorkerCrashedError`
-        when the worker died instead of answering.  The worker's
-        ``solve.offload`` span parents under the caller's active trace
-        context.
+        ``fn`` must be a module-level callable; it and ``args`` are
+        pickled into the worker's pipe, so they should be plain data
+        (numpy arrays pickle by value, cheaply).  Blocks until the worker
+        answers, and raises what ``fn`` raised —
+        :class:`WorkerCrashedError` when the worker died instead of
+        answering.  The worker's ``solve.offload`` span parents under the
+        caller's active trace context.
         """
         ctx = TRACER.current_context()
         ctx_row = (
             None if ctx is None
             else {"trace_id": ctx.trace_id, "span_id": ctx.span_id}
         )
-        return self._call(("job", buffers, job, ctx_row))
-
-    def _call(self, message: tuple):
-        """Send ``message`` to an idle worker and return its reply payload."""
         slot = self._checkout()
         try:
             worker = self._usable(slot)
             self.counters.add(**{str(slot): 1})
             try:
-                worker.conn.send(message)
+                worker.conn.send((fn, args, ctx_row))
                 reply = worker.conn.recv()
             except (EOFError, OSError):
                 reply = None
@@ -342,7 +301,7 @@ class WorkerPool:
                 )
         finally:
             self._checkin(slot)
-        _, ok, payload, spans = reply
+        ok, payload, spans = reply
         if spans:
             TRACER.ingest(list(spans))
         if not ok:

@@ -404,8 +404,8 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
     The gated ``workers_speedup_4`` ratio is measured separately, on the
     ``cold-scaling`` leg (every request a distinct engine run — nothing
     for the cache or in-flight dedup to absorb), 4 workers vs 1.  With
-    more than one effective CPU the 4-worker server auto-offloads cold
-    solves to the persistent worker pool, so the ratio measures
+    more than one effective CPU the 4-worker server runs cold solves on
+    its persistent worker pool, so the ratio measures
     exactly what the tentpole claims: real multi-core scaling past the
     GIL.  The ``("floor", 2.0)`` gate applies only where it is physically
     measurable — trajectories also carry ``effective_cpus`` and the
@@ -451,8 +451,8 @@ def concurrent_service_scenario(quick: bool, repeats: int) -> PerfRecord:
                 hit_rate = server.stats.hit_rate
                 shard_lock_wait = server.cache.contention_rate
 
-    # Scaling measurement: the cold-only leg, 4 workers (auto-offloaded
-    # on multi-core hosts) against 1 (inline).  Kept outside the mixed
+    # Scaling measurement: the cold-only leg, 4 workers (pooled on
+    # multi-core hosts) against 1 (inline).  Kept outside the mixed
     # loop so cache behaviour and scaling never contaminate each other.
     cold_rps: dict[int, list[float]] = {1: [], 4: []}
     for _ in range(repeats):
@@ -533,10 +533,9 @@ def qos_overload_scenario(quick: bool, repeats: int) -> PerfRecord:
 
     rate = 150.0 if quick else 200.0
     duration = 0.75 if quick else 1.5
-    service = ConcurrentLabelingService(
-        workers=1, offload=False, queue_size=8, cache_capacity=1
+    server = BackgroundServer(
+        ConcurrentLabelingService(workers=1, queue_size=8, cache_capacity=1)
     )
-    server = BackgroundServer(service=service)
     try:
         report = run_load(
             server.url, rates=[rate], duration=duration, seed=7,
@@ -544,7 +543,6 @@ def qos_overload_scenario(quick: bool, repeats: int) -> PerfRecord:
         )
     finally:
         server.shutdown(drain=True)
-        service.shutdown(wait=True)
     step = report.steps[0]
     if step.infeasible:
         raise ReproError(

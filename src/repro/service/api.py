@@ -1,12 +1,14 @@
-"""The canonical-coordinate solve and the request/response helpers.
+"""The one solve recipe, and the request/response helpers.
 
-:func:`solve_canonical` is the one solve the service runs inline:
-rebuild the request's graph in canonical vertex order (reusing the APSP its
-canonical form already computed), then run the Theorem-2 pipeline
-(:func:`~repro.reduction.solver.solve_labeling`) or the degraded one-pass
-solver (:func:`~repro.approx.approx_labeling`).  Labels come back in
-canonical coordinates, so one cached answer serves every isomorphic
-request.
+:func:`solve_graph` is the one solve the service runs: the Theorem-2
+pipeline (:func:`~repro.reduction.solver.solve_labeling`) or the degraded
+one-pass solver (:func:`~repro.approx.approx_labeling`) on a graph already
+in canonical vertex order
+(:func:`~repro.service.canonical.canonical_instance`), packed as a cache
+entry.  Labels come back in canonical coordinates, so
+one cached answer serves every isomorphic request.  A pool worker runs the
+same recipe through :func:`solve_buffers`, which first rebuilds the graph
+from the arrays that crossed the pipe.
 
 The front end that queues, dedups and caches those solves is
 :class:`repro.service.server.ConcurrentLabelingService`; this module holds
@@ -21,29 +23,30 @@ from __future__ import annotations
 import time
 
 from repro.approx import APPROX_ENGINE, approx_labeling
+from repro.graphs.analysis import adopt_buffers
 from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import LpSpec
 from repro.reduction.solver import solve_labeling
 from repro.service.cache import CachedSolve
-from repro.service.canonical import CanonicalForm, canonical_instance
+from repro.service.canonical import CanonicalForm
 from repro.service.protocol import SolveRequest, SolveResponse
 
 
-def solve_canonical(
-    form: CanonicalForm, request: SolveRequest, tier: str
+def solve_graph(
+    canonical: Graph, spec: LpSpec, engine: str, tier: str
 ) -> tuple[CachedSolve, float]:
-    """Solve one request in canonical coordinates; returns ``(entry, seconds)``.
+    """Solve a canonical-order graph into a cache entry; ``(entry, seconds)``.
 
     ``tier="approx"`` runs the one-pass degraded solver and certifies its
-    gap; anything else runs the exact pipeline with the request's engine.
-    The canonical graph's distance oracle is pre-seeded from the
-    request's (:func:`canonical_instance`), so validation, reduction and
-    verification add no APSP run to the one paid for the canonical key.
+    gap; anything else runs the exact pipeline with ``engine``.  A graph
+    from :func:`~repro.service.canonical.canonical_instance` (or
+    :func:`solve_buffers`) carries a pre-seeded distance oracle, so
+    validation, reduction and verification add no APSP run to the one
+    paid for the canonical key.
     """
-    canonical = canonical_instance(form, request.graph)
     if tier == "approx":
-        res = approx_labeling(canonical, request.spec)
+        res = approx_labeling(canonical, spec)
         entry = CachedSolve(
             labels=res.labeling.labels,
             span=res.span,
@@ -53,7 +56,7 @@ def solve_canonical(
         )
         return entry, res.seconds
     t0 = time.perf_counter()
-    result = solve_labeling(canonical, request.spec, engine=request.engine)
+    result = solve_labeling(canonical, spec, engine=engine)
     seconds = time.perf_counter() - t0
     entry = CachedSolve(
         labels=result.labeling.labels,
@@ -62,6 +65,24 @@ def solve_canonical(
         exact=result.exact,
     )
     return entry, seconds
+
+
+def solve_buffers(
+    buffers: dict, p: tuple[int, ...], engine: str
+) -> tuple[CachedSolve, float]:
+    """:func:`solve_graph` on the graph ``buffers`` encode, exact tier.
+
+    ``buffers`` is what :func:`~repro.graphs.analysis.export_buffers`
+    returns for a canonical graph; the graph is rebuilt around those
+    arrays with :func:`~repro.graphs.analysis.adopt_buffers`.  This is the
+    function a :class:`~repro.parallel.pool.WorkerPool` worker runs, so
+    only arrays, the spec's ``p`` and the engine name cross the pipe.
+    """
+    distances = buffers["distances"]
+    graph = adopt_buffers(
+        distances.shape[0], buffers["indptr"], buffers["indices"], distances
+    )
+    return solve_graph(graph, LpSpec(p), engine, "exact")
 
 
 def _composed_key(form: CanonicalForm, req: SolveRequest, tier: str) -> str:
@@ -115,7 +136,8 @@ def solve_record(
 
     Accepts either a :class:`repro.reduction.solver.SolveResult` or a
     :class:`~repro.service.protocol.SolveResponse`; the optional ``graph``
-    and ``spec`` add provenance fields.
+    and ``spec`` add provenance fields.  An approx-tier response adds its
+    ``tier`` and certified ``gap``, as it does on the wire.
     """
     seconds = getattr(result, "seconds", None)
     if seconds is None:
@@ -135,6 +157,9 @@ def solve_record(
     tag = tag if tag is not None else getattr(result, "tag", None)
     if tag is not None:
         record["tag"] = tag
+    if getattr(result, "gap", None) is not None:  # an approx-tier answer
+        record["tier"] = result.tier
+        record["gap"] = result.gap
     if include_labels:
         record["labels"] = list(result.labeling.labels)
     return record

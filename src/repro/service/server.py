@@ -1,7 +1,7 @@
 """The labeling service: bounded queue, worker pool, in-flight dedup.
 
 :class:`ConcurrentLabelingService` is the one front end over
-:func:`~repro.service.api.solve_canonical` and the result cache —
+:func:`~repro.service.api.solve_graph` and the result cache —
 sessions, the CLI, the HTTP tier, experiments and benchmarks all submit to
 it.  A caller that wants call-and-wait semantics submits and waits on the
 future (``service.submit(req).result()``); with ``workers=1`` the solve
@@ -11,21 +11,19 @@ runs inline on the one worker thread.  The pieces:
   enqueues work and returns a :class:`~concurrent.futures.Future`
   immediately.  Past the high-water mark the submission *blocks* (default)
   or fails fast with :class:`~repro.errors.ServiceOverloadedError`
-  (``block=False``), so a burst degrades into latency or explicit rejection
-  instead of unbounded memory growth.
+  (``submit(..., block=False)``), so a burst degrades into latency or
+  explicit rejection instead of unbounded memory growth.
 - **Worker pool** — ``workers`` threads drain the queue.  Cold solves are
-  CPU-bound Python, so when the host has more than one effective core each
-  worker thread hands its solve to a persistent :class:`WorkerPool`
-  (one long-lived process per thread) as one blocking
-  :meth:`~WorkerPool.solve` call, and the pool width is the real
-  parallelism; on a single-core host they solve inline and the threads
-  still provide queuing, coalescing and backpressure.  An offloaded
-  request crosses the process boundary as its canonical graph's distance
-  matrix and CSR adjacency plus a ``(key, p, engine)`` tuple, sent
-  through the worker's pipe — the graph itself never pickles, and no
-  pool is spun up per request.  A worker process that dies mid-solve
-  fails that request with :class:`~repro.errors.WorkerCrashedError` and
-  is respawned.
+  CPU-bound Python, so with ``workers > 1`` on a host with more than one
+  effective core each worker thread hands its exact-tier solve to a
+  persistent :class:`WorkerPool` (one long-lived process per thread) as
+  one blocking :meth:`~WorkerPool.call`; otherwise they solve inline and
+  the threads still provide queuing, coalescing and backpressure.  Both
+  sides run :func:`~repro.service.api.solve_graph`, and a pooled request
+  crosses the process boundary as canonical arrays — the graph itself
+  never pickles.  A worker process that dies mid-solve fails that
+  request with :class:`~repro.errors.WorkerCrashedError` and is
+  respawned.
 - **Dedup in flight** — concurrent requests with the same canonical key
   coalesce onto one internal solve; every caller still receives its *own*
   future whose result is translated through its own vertex order (two
@@ -68,7 +66,9 @@ from repro.graphs.analysis import export_buffers, get_analysis
 from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import TRACER, SpanContext
 from repro.parallel.pool import WorkerPool, effective_cpu_count
-from repro.service.api import _answer, _composed_key, solve_canonical
+from repro.service.api import (
+    _answer, _composed_key, solve_buffers, solve_graph,
+)
 from repro.service.cache import CachedSolve
 from repro.service.canonical import (
     CanonicalForm,
@@ -275,7 +275,7 @@ class _Job:
     #: every public future for this key chains off it.
     internal: Future = field(default_factory=Future)
     #: Trace context captured on the submitting thread; the worker (and
-    #: any offload process) parents its spans under it.
+    #: any pool process) parents its spans under it.
     ctx: SpanContext | None = None
     #: ``perf_counter`` timestamp taken just before ``queue.put`` — the
     #: queue-wait histogram measures from here to worker pickup.
@@ -293,23 +293,16 @@ class ConcurrentLabelingService:
     Parameters
     ----------
     workers:
-        Worker-thread count.  Also the persistent worker-pool width when
-        cold solves are offloaded (see ``offload``).
+        Worker-thread count.  With ``workers > 1`` and more than one CPU
+        this process may run on (:func:`effective_cpu_count`, which
+        respects container/affinity masks), the service also starts a
+        persistent :class:`~repro.parallel.pool.WorkerPool` of the same
+        width and exact-tier solves run there, in parallel past the GIL.
+        Otherwise every solve runs inline on its worker thread — on a
+        single core the pool would add a process hop and parallelize
+        nothing.
     queue_size:
         Submission-queue high-water mark (backpressure threshold).
-    block:
-        Default backpressure behaviour for :meth:`submit`: ``True`` blocks
-        until queue space frees, ``False`` raises
-        :class:`ServiceOverloadedError`.  Overridable per call.
-    offload:
-        ``True`` ships cold solves to a persistent
-        :class:`~repro.parallel.pool.WorkerPool` (real parallelism for
-        CPU-bound engines), ``False`` solves inline on the worker
-        thread.  ``None`` (default)
-        auto-detects: offload only when ``workers > 1`` *and* the process
-        may run on more than one CPU (:func:`effective_cpu_count`, which
-        respects container/affinity masks) — on a single core the pool
-        would add process-hop overhead and parallelize nothing.
     cache_capacity / cache_path:
         Result-cache size, and an optional JSON file that warm-starts the
         cache when it exists (persist with ``server.cache.save()``).
@@ -319,8 +312,6 @@ class ConcurrentLabelingService:
         self,
         workers: int = 4,
         queue_size: int = DEFAULT_QUEUE_SIZE,
-        block: bool = True,
-        offload: bool | None = None,
         cache_capacity: int = 4096,
         cache_path: str | Path | None = None,
     ) -> None:
@@ -333,7 +324,6 @@ class ConcurrentLabelingService:
         #: Tier selection policy; its thresholds are the module constants.
         self.router = QosRouter(queue_size)
         self.workers = workers
-        self.block = block
         self.stats = ServerStats()
         self._queue: queue.Queue = queue.Queue(maxsize=queue_size)
         self._inflight: dict[str, Future] = {}
@@ -344,11 +334,10 @@ class ConcurrentLabelingService:
         self._settled = threading.Condition(self._lock)
         self._submitting = 0
         self._closed = False
-        if offload is None:
-            offload = workers > 1 and effective_cpu_count() > 1
         # The pool forks/spawns *before* the worker threads start, so the
         # child processes never inherit a half-started thread's state.
-        self._pool = WorkerPool(workers) if offload else None
+        pooled = workers > 1 and effective_cpu_count() > 1
+        self._pool = WorkerPool(workers) if pooled else None
         # Registry surface: latency histograms are shared process-wide;
         # the queue-depth gauge samples this instance weakly (most recent
         # server owns it); per-worker busy/idle gauges measure the GIL
@@ -411,7 +400,7 @@ class ConcurrentLabelingService:
     def submit(
         self,
         request: SolveRequest,
-        block: bool | None = None,
+        block: bool = True,
         timeout: float | None = None,
     ) -> Future:
         """Enqueue one request; returns a future of its ``SolveResponse``.
@@ -423,8 +412,8 @@ class ConcurrentLabelingService:
         requests coalesce onto one solve, but each caller's future
         resolves in its *own* vertex order.
 
-        Backpressure: with ``block`` (default: the constructor setting) a
-        full queue blocks up to ``timeout`` seconds, then rejects;
+        Backpressure: with ``block`` (the default) a full queue blocks up
+        to ``timeout`` seconds, then rejects;
         ``block=False`` rejects immediately with
         :class:`ServiceOverloadedError`.
         """
@@ -442,7 +431,6 @@ class ConcurrentLabelingService:
             request.graph, request.spec, analysis=request.analysis
         )
         key = _composed_key(form, request, tier=tier)
-        block = self.block if block is None else block
 
         # Fast path: a warm cache answers without touching the queue.  The
         # probe happens outside the service lock on purpose: the service
@@ -616,14 +604,7 @@ class ConcurrentLabelingService:
             self._finish(job, entry, cached=True, seconds=0.0)
             return
         try:
-            if job.tier == "approx" or self._pool is None:
-                # the one-pass degraded solver never offloads — a process
-                # hop would cost more than the solve itself
-                entry, seconds = self._solve_inline(
-                    job.form, job.request, job.tier
-                )
-            else:
-                entry, seconds = self._solve_offloaded(job)
+            entry, seconds = self._solve(job)
         except BaseException as exc:  # engine failures must reach the waiters
             with self._lock:
                 self._inflight.pop(job.key, None)
@@ -635,26 +616,28 @@ class ConcurrentLabelingService:
         self.cache.put(job.key, entry)
         self._finish(job, entry, cached=False, seconds=seconds)
 
-    def _solve_inline(
-        self, form: CanonicalForm, request: SolveRequest, tier: str
-    ) -> tuple[CachedSolve, float]:
-        """Solve on the calling worker thread (see :func:`solve_canonical`)."""
-        return solve_canonical(form, request, tier)
-
-    def _solve_offloaded(self, job: _Job) -> tuple[CachedSolve, float]:
-        """Solve on the worker pool; the graph never pickles.
+    def _solve(self, job: _Job) -> tuple[CachedSolve, float]:
+        """Run :func:`solve_graph` for one job, inline or on the pool.
 
         :func:`canonical_instance` permutes the APSP already computed at
-        submit time into canonical order, and its exported arrays travel
-        to the worker with the job.
+        submit time into canonical order.  The approx tier, and every
+        solve of a service without a pool, runs on the calling worker
+        thread — a process hop would cost more than the one-pass solve.
+        Otherwise the canonical graph's exported arrays travel to a pool
+        worker, which runs the same recipe through :func:`solve_buffers`.
         """
-        canonical = canonical_instance(job.form, job.request.graph)
-        _key, labels, span, engine, exact, seconds = self._pool.solve(
+        request = job.request
+        canonical = canonical_instance(job.form, request.graph)
+        if job.tier == "approx" or self._pool is None:
+            return solve_graph(
+                canonical, request.spec, request.engine, job.tier
+            )
+        return self._pool.call(
+            solve_buffers,
             export_buffers(get_analysis(canonical)),
-            (job.key, job.request.spec.p, job.request.engine),
+            request.spec.p,
+            request.engine,
         )
-        entry = CachedSolve(labels=labels, span=span, engine=engine, exact=exact)
-        return entry, seconds
 
     def _finish(
         self, job: _Job, entry: CachedSolve, cached: bool, seconds: float

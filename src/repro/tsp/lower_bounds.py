@@ -1,9 +1,11 @@
 """Lower bounds for TSP: 1-tree (Held–Karp bound) with subgradient ascent.
 
-Used by the harness to report certified optimality gaps for heuristic
-engines on instances too large for exact solving: for any tour,
-``1-tree bound <= OPT_cycle`` and ``MST <= OPT_path``.  The subgradient
-iteration is the classic Held–Karp (1970) scheme on vertex penalties.
+Standalone bounds, exported from :mod:`repro.tsp`; no solve path calls
+them.  ``1-tree bound <= OPT_cycle`` and ``MST <= OPT_path``.  The 1-tree
+bound is a *cycle* bound and routinely exceeds the optimal Hamiltonian
+path (3.169 vs 2.096 on ``TSPInstance.random_metric(8, seed=0)``), so it
+must never certify a Theorem-2 path; :func:`certified_gap` uses the MST
+bound.  The subgradient iteration is the classic Held–Karp (1970) scheme.
 """
 
 from __future__ import annotations

@@ -144,6 +144,16 @@ class TestOneTreeBound:
             lb = one_tree_bound(inst)
             assert lb <= opt + 1e-9
 
+    def test_overshoots_the_path_optimum(self):
+        # a cycle bound, not a path certificate: on every seed it exceeds
+        # the optimal Hamiltonian path
+        for seed in range(10):
+            inst = TSPInstance.random_metric(8, seed=seed)
+            assert one_tree_bound(inst) > held_karp_path(inst).length
+        inst = TSPInstance.random_metric(8, seed=0)
+        assert one_tree_bound(inst) == pytest.approx(3.169, abs=1e-3)
+        assert held_karp_path(inst).length == pytest.approx(2.096, abs=1e-3)
+
     def test_tighter_than_mst(self):
         tighter = 0
         for seed in range(6):

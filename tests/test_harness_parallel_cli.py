@@ -11,7 +11,7 @@ from repro.harness.runner import EngineRun, run_engines, time_call
 from repro.harness.tables import render_markdown, render_table
 from repro.harness.workloads import WORKLOADS, make_workload, sweep
 from repro.labeling.spec import L21
-from repro.parallel.pool import chunked, default_workers, parallel_map
+from repro.parallel.pool import default_workers, parallel_map
 from repro.parallel.portfolio import portfolio_solve, sequential_portfolio
 
 
@@ -77,11 +77,6 @@ class TestTables:
 
 
 class TestParallelPool:
-    def test_chunked(self):
-        assert list(chunked([1, 2, 3, 4, 5], 2)) == [[1, 2], [3, 4], [5]]
-        with pytest.raises(ValueError):
-            list(chunked([1], 0))
-
     def test_default_workers_positive(self):
         assert default_workers() >= 1
 
@@ -299,6 +294,27 @@ class TestCli:
         # identical blocks: exactly one engine run, rest hit or coalesce
         assert summary["server"]["solved"] == 1
         assert "shard_lock_wait" in summary
+
+    def test_batch_stream_approx_record_carries_tier_and_gap(self, capfd):
+        # n > 256 routes an auto request to the approx tier; its record
+        # must carry the certified gap, as the HTTP response does
+        import json
+
+        from repro.labeling.bounds import lower_bound
+
+        star = gen.star_graph(300)
+        text = f"{star.n} {star.m}\n" + "".join(
+            f"{u} {v}\n" for u, v in star.edges()
+        )
+        code, out = self.run_cli(
+            ["batch", "-", "-p", "2,1", "--stream", "--workers", "1"],
+            stdin_text=text,
+        )
+        assert code == 0
+        (record,) = [json.loads(line) for line in out.strip().splitlines()]
+        assert record["engine"] == "approx" and record["exact"] is False
+        assert record["tier"] == "approx"
+        assert record["gap"] == record["span"] - lower_bound(star, L21)
 
     def test_batch_stream_requires_stdin_source(self, tmp_path):
         code, _ = self.run_cli(["batch", str(tmp_path), "--stream"])

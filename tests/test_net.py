@@ -18,14 +18,16 @@ import time
 import urllib.error
 import urllib.request
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from repro.errors import ReproError
+from repro.errors import ReproError, ServiceClosedError
 from repro.graphs import generators as gen
 from repro.labeling.spec import L21
 from repro.net import BackgroundServer
 from repro.service.protocol import SolveRequest, SolveResponse
+from repro.service.server import ConcurrentLabelingService
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tools"))
 from metrics_lint import check_exposition  # noqa: E402
@@ -34,9 +36,12 @@ ENGINE = "nearest_neighbor"  # cheapest engine: these tests exercise plumbing
 
 
 def make_server(**kwargs):
+    """A background server over a service that sees one CPU (inline solves)."""
     kwargs.setdefault("workers", 2)
-    kwargs.setdefault("offload", False)
-    return BackgroundServer(**kwargs)
+    with mock.patch(
+        "repro.service.server.effective_cpu_count", return_value=1
+    ):
+        return BackgroundServer(ConcurrentLabelingService(**kwargs))
 
 
 def graph(seed, n=12):
@@ -61,19 +66,19 @@ def get(url, path):
 
 
 def gated_solver(server, started=None, release=None, gate_tag=None):
-    """Gate the service's inline solve: ``gate_tag`` (or all) requests block."""
+    """Gate the service's solve: ``gate_tag`` (or all) requests block."""
     service = server.service
-    orig = service._solve_inline
+    orig = service._solve
 
-    def gated(form, request, tier):
-        if gate_tag is None or request.tag == gate_tag:
+    def gated(job):
+        if gate_tag is None or job.request.tag == gate_tag:
             if started is not None:
                 started.set()
             if release is not None:
                 assert release.wait(timeout=30), "test forgot to release"
-        return orig(form, request, tier)
+        return orig(job)
 
-    service._solve_inline = gated
+    service._solve = gated
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +331,16 @@ def test_graceful_drain_finishes_inflight_and_503s_late_submissions():
     assert not shutter.is_alive(), "drain must complete"
 
 
+def test_shutdown_retires_the_service_it_fronts():
+    service = ConcurrentLabelingService(workers=1)
+    server = BackgroundServer(service=service)
+    request = SolveRequest(graph(0), L21, engine=ENGINE)
+    assert service.submit(request).result(timeout=30).span > 0
+    server.shutdown()
+    with pytest.raises(ServiceClosedError):
+        service.submit(SolveRequest(graph(1), L21, engine=ENGINE))
+
+
 def test_background_server_shutdown_is_idempotent():
     server = make_server()
     get(server.url, "/healthz")
@@ -373,13 +388,15 @@ def test_load_rejects_bad_parameters():
 # ---------------------------------------------------------------------------
 # the CLI surface
 # ---------------------------------------------------------------------------
-def test_cli_load_self_serve_smoke(capsys, tmp_path):
+def test_cli_load_self_serve_smoke(capsys, tmp_path, monkeypatch):
     """The `make load-smoke` contract end to end, in-process."""
     from repro.cli import main
 
+    # one CPU: the self-served 2-worker service solves inline
+    monkeypatch.setattr("repro.service.server.effective_cpu_count", lambda: 1)
     prom = tmp_path / "load.prom"
     code = main([
-        "load", "--rate", "15", "--duration", "0.5", "--no-offload",
+        "load", "--rate", "15", "--duration", "0.5",
         "--json", "--fail-on-errors", "--dump-metrics", str(prom),
     ])
     assert code == 0
@@ -413,7 +430,7 @@ def test_cli_serve_drains_on_sigterm(tmp_path):
     env = dict(os.environ, PYTHONPATH="src")
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", "1", "--no-offload"],
+         "--workers", "1"],
         cwd=str(Path(__file__).resolve().parent.parent),
         env=env, stderr=subprocess.PIPE, text=True,
     )

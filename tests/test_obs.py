@@ -2,7 +2,7 @@
 
 Covers the metric primitives and exposition formats (including a golden
 Prometheus file), exact-total concurrency hammering, span propagation
-across thread and process-offload boundaries, the legacy-counter
+across thread and worker-pool process boundaries, the legacy-counter
 delegation (``apsp_run_count`` / ``full_apsp_refresh_count``), the atomic
 :class:`ServerStats` snapshot, the one per-instance counter path
 (:class:`CounterSet`) every stats owner shares, and the CLI/lint surface.
@@ -277,18 +277,33 @@ class TestTracer:
         assert len(tr) == 0  # dump drains
 
 
+def _service(workers, cpus):
+    """A service built as if this process could run on ``cpus`` CPUs."""
+    from unittest import mock
+
+    from repro.service.server import ConcurrentLabelingService
+
+    with mock.patch(
+        "repro.service.server.effective_cpu_count", return_value=cpus
+    ):
+        return ConcurrentLabelingService(workers=workers)
+
+
 class TestServerIntegration:
-    def _serve_one(self, offload):
-        """One traced solve through a fresh server; returns drained spans."""
+    def _serve_one(self, pooled):
+        """One traced solve through a fresh server; returns drained spans.
+
+        The 2-worker service runs its solve on the pool when it sees more
+        than one CPU, so ``pooled`` sets the CPU count it sees.
+        """
         from repro.graphs import generators as gen
         from repro.labeling.spec import L21
         from repro.obs import TRACER
         from repro.service.protocol import SolveRequest
-        from repro.service.server import ConcurrentLabelingService
 
         TRACER.drain()  # isolate from earlier tests
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=5)
-        server = ConcurrentLabelingService(workers=2, offload=offload)
+        server = _service(workers=2, cpus=2 if pooled else 1)
         try:
             with span("client") as root:
                 req = SolveRequest(g, L21, engine="lk")
@@ -298,13 +313,13 @@ class TestServerIntegration:
         return root, TRACER.drain()
 
     def test_span_propagation_across_worker_thread(self):
-        root, spans = self._serve_one(offload=False)
+        root, spans = self._serve_one(pooled=False)
         proc = next(s for s in spans if s.name == "server.process")
         assert proc.trace_id == root.trace_id
         assert proc.parent_id == root.span_id
 
     def test_span_propagation_across_process_offload(self):
-        root, spans = self._serve_one(offload=True)
+        root, spans = self._serve_one(pooled=True)
         proc = next(s for s in spans if s.name == "server.process")
         off = next(s for s in spans if s.name == "solve.offload")
         assert off.trace_id == root.trace_id
@@ -313,7 +328,7 @@ class TestServerIntegration:
 
     def test_request_histograms_populated(self):
         before = REGISTRY.histogram_summary("repro_request_seconds")["count"]
-        self._serve_one(offload=False)
+        self._serve_one(pooled=False)
         after = REGISTRY.histogram_summary("repro_request_seconds")["count"]
         assert after == before + 1
 
@@ -321,10 +336,9 @@ class TestServerIntegration:
         from repro.graphs import generators as gen
         from repro.labeling.spec import L21
         from repro.service.protocol import SolveRequest
-        from repro.service.server import ConcurrentLabelingService
 
         g = gen.random_graph_with_diameter_at_most(10, 2, seed=6)
-        server = ConcurrentLabelingService(workers=2, offload=False)
+        server = _service(workers=2, cpus=1)
         try:
             server.submit(SolveRequest(g, L21, engine="lk")).result(timeout=60)
             server.drain()
@@ -476,7 +490,7 @@ def _server_owner():
     graphs = [
         gen.random_graph_with_diameter_at_most(10, 2, seed=s) for s in (7, 8)
     ]
-    with ConcurrentLabelingService(workers=1, offload=False) as server:
+    with ConcurrentLabelingService(workers=1) as server:
         for g, tier in ((graphs[0], "exact"), (graphs[1], "approx")):
             req = SolveRequest(g, L21, engine="nearest_neighbor", tier=tier)
             server.submit(req).result(timeout=60)
@@ -557,6 +571,7 @@ def _pool_owner():
     from repro.graphs.analysis import export_buffers, get_analysis
     from repro.labeling.spec import L21
     from repro.parallel.pool import WorkerPool
+    from repro.service.api import solve_buffers
 
     buffers = export_buffers(
         get_analysis(gen.random_graph_with_diameter_at_most(8, 2, seed=1))
@@ -564,10 +579,10 @@ def _pool_owner():
     with WorkerPool(2, start_method="fork") as pool:
         pool.wait_ready()
         for i in range(2):
-            pool.solve(buffers, (f"k{i}", L21.p, "nearest_neighbor"))
+            pool.call(solve_buffers, buffers, L21.p, "nearest_neighbor")
         os.kill(pool.worker_pids()[0], signal.SIGKILL)
         with contextlib.suppress(WorkerCrashedError):
-            pool.solve(buffers, ("k2", L21.p, "nearest_neighbor"))
+            pool.call(solve_buffers, buffers, L21.p, "nearest_neighbor")
     assert pool.restart_count == 1
     series = {
         "restarts": ("repro_pool_worker_restarts_total", {}),

@@ -11,6 +11,7 @@ holds under deliberate overload.
 
 import threading
 import time
+from unittest import mock
 
 import pytest
 
@@ -39,34 +40,37 @@ ENGINE = "nearest_neighbor"  # cheapest engine: these tests exercise routing
 
 
 def make_server(**kwargs):
-    kwargs.setdefault("offload", False)  # deterministic inline solves
-    return ConcurrentLabelingService(**kwargs)
+    """A service that sees one CPU: deterministic inline solves."""
+    with mock.patch(
+        "repro.service.server.effective_cpu_count", return_value=1
+    ):
+        return ConcurrentLabelingService(**kwargs)
 
 
 def gated_solver(server, started=None, release=None):
-    """Event-gate the server's inline solve (no sleeps in tests)."""
-    orig = server._solve_inline
+    """Event-gate the server's solve (no sleeps in tests)."""
+    orig = server._solve
 
-    def gated(form, request, tier):
+    def gated(job):
         if started is not None:
             started.set()
         if release is not None:
             assert release.wait(timeout=10), "test forgot to release the solver"
-        return orig(form, request, tier)
+        return orig(job)
 
-    server._solve_inline = gated
+    server._solve = gated
 
 
 def counting_solvers(server):
     """Count every exact and approx solve the server actually runs."""
     counts = {"exact": 0, "approx": 0}
-    orig = server._solve_inline
+    orig = server._solve
 
-    def counting(form, request, tier):
-        counts[tier] += 1
-        return orig(form, request, tier)
+    def counting(job):
+        counts[job.tier] += 1
+        return orig(job)
 
-    server._solve_inline = counting
+    server._solve = counting
     return counts
 
 
@@ -263,17 +267,17 @@ def test_generous_deadline_not_dropped():
 def test_mid_stream_crash_still_resolves_every_public_future():
     graphs = _graphs(6, start=60)
     server = make_server(workers=2, queue_size=8)
-    orig = server._solve_inline
+    orig = server._solve
     crash_on = {2}  # the third distinct solve dies mid-stream
 
-    def crashing(form, request, tier, _seen=[]):
+    def crashing(job, _seen=[]):
         idx = len(_seen)
-        _seen.append(form.key)
+        _seen.append(job.key)
         if idx in crash_on:
             raise RuntimeError("injected mid-stream worker crash")
-        return orig(form, request, tier)
+        return orig(job)
 
-    server._solve_inline = crashing
+    server._solve = crashing
     try:
         futures = [
             server.submit(SolveRequest(g, L21, engine=ENGINE)) for g in graphs

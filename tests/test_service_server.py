@@ -11,6 +11,7 @@ suite stays deterministic.
 
 import threading
 from concurrent.futures import CancelledError, Future, ThreadPoolExecutor
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -35,29 +36,36 @@ def req(graph, engine=ENGINE):
     return SolveRequest(graph, L21, engine=engine)
 
 
-def make_server(**kwargs):
-    kwargs.setdefault("offload", False)  # deterministic inline solves
-    return ConcurrentLabelingService(**kwargs)
+def make_server(cpus=1, **kwargs):
+    """A service built as if this process could run on ``cpus`` CPUs.
+
+    One CPU (the default) keeps every solve inline and deterministic;
+    ``cpus > 1`` with ``workers > 1`` gives the service its worker pool.
+    """
+    with mock.patch(
+        "repro.service.server.effective_cpu_count", return_value=cpus
+    ):
+        return ConcurrentLabelingService(**kwargs)
 
 
 def gated_solver(server, started=None, release=None, fail=False):
-    """Wrap the server's inline solve with test gates.
+    """Wrap the server's solve with test gates.
 
     ``started`` is set when a worker enters a solve; ``release`` blocks it
     until the test is ready; ``fail=True`` raises instead of solving.
     """
-    orig = server._solve_inline
+    orig = server._solve
 
-    def gated(form, request, tier):
+    def gated(job):
         if started is not None:
             started.set()
         if release is not None:
             assert release.wait(timeout=10), "test forgot to release the solver"
         if fail:
             raise RuntimeError("injected engine failure")
-        return orig(form, request, tier)
+        return orig(job)
 
-    server._solve_inline = gated
+    server._solve = gated
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +168,16 @@ def _distinct_graphs(count, n=10):
 
 def test_nonblocking_submit_rejects_past_high_water():
     graphs = _distinct_graphs(4)
-    server = make_server(workers=1, queue_size=2, block=False)
+    server = make_server(workers=1, queue_size=2)
     started, release = threading.Event(), threading.Event()
     gated_solver(server, started=started, release=release)
     try:
-        server.submit(req(graphs[0]))
+        server.submit(req(graphs[0]), block=False)
         assert started.wait(timeout=10)  # slot 0 is on the worker, not queued
-        server.submit(req(graphs[1]))
-        server.submit(req(graphs[2]))  # queue now full
+        server.submit(req(graphs[1]), block=False)
+        server.submit(req(graphs[2]), block=False)  # queue now full
         with pytest.raises(ServiceOverloadedError):
-            server.submit(req(graphs[3]))
+            server.submit(req(graphs[3]), block=False)
         assert server.stats.rejected == 1
     finally:
         release.set()
@@ -314,7 +322,7 @@ def test_drain_is_a_checkpoint_not_a_shutdown():
 def test_engine_failure_reaches_every_waiter():
     g = gen.random_graph_with_diameter_at_most(10, 2, seed=9)
     server = make_server(workers=1, queue_size=8)
-    orig = server._solve_inline
+    orig = server._solve
     started, release = threading.Event(), threading.Event()
     gated_solver(server, started=started, release=release, fail=True)
     f1 = server.submit(req(g.copy()))
@@ -326,23 +334,35 @@ def test_engine_failure_reaches_every_waiter():
             f.result(timeout=10)
     assert server.stats.errors == 1
     # the failure is not cached: a retry solves cleanly
-    server._solve_inline = orig
+    server._solve = orig
     assert server.submit(req(g.copy())).result().span > 0
     server.shutdown(wait=True)
 
 
 def test_process_offload_path_solves_correctly():
-    # force the process-pool branch even on single-core hosts: results and
+    # the process-pool branch even on single-core hosts: results and
     # feasibility must be indistinguishable from inline solving
     g1, g2 = _distinct_graphs(2)
-    with ConcurrentLabelingService(workers=2, offload=True) as server:
+    with make_server(cpus=2, workers=2) as server:
+        assert server._pool is not None
         r1 = server.submit(req(g1)).result()
         r2 = server.submit(req(g2)).result()
     r1.labeling.require_feasible(g1, L21)
     r2.labeling.require_feasible(g2, L21)
-    inline = ConcurrentLabelingService(workers=1, offload=False)
-    assert inline.submit(req(g1)).result().span == r1.span
-    inline.shutdown(wait=True)
+    with make_server(workers=1) as inline:
+        assert inline._pool is None
+        assert inline.submit(req(g1)).result().labeling == r1.labeling
+
+
+@pytest.mark.parametrize(
+    "workers, cpus, pooled", [(1, 4, False), (2, 1, False), (2, 2, True)]
+)
+def test_pool_iff_several_workers_and_cpus(workers, cpus, pooled):
+    # the one rule that picks pooled or inline solves; nothing overrides it
+    with make_server(cpus=cpus, workers=workers) as server:
+        assert (server._pool is not None) == pooled
+        if pooled:
+            assert server._pool.workers == workers
 
 
 def test_constructor_validation():

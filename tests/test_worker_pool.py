@@ -1,10 +1,11 @@
-"""Persistent worker pool and the offloaded server: lifecycle and robustness.
+"""Persistent worker pool and the pooled server: lifecycle and robustness.
 
 The invariants under test:
 
-- **equivalence**: a pool solve returns exactly the inline labeling — the
-  canonical arrays travel through the worker's pipe, the graph never does;
-- **no shared memory**: an offloaded server leaves ``/dev/shm`` untouched
+- **equivalence**: a pool call of :func:`solve_buffers` returns exactly
+  the inline labeling — the canonical arrays travel through the worker's
+  pipe, the graph never does;
+- **no shared memory**: a pooled server leaves ``/dev/shm`` untouched
   while it runs;
 - **no hangs**: a worker SIGKILLed mid-solve makes its call raise
   :class:`WorkerCrashedError` promptly and the pool keeps serving; a
@@ -28,6 +29,7 @@ from repro.graphs.analysis import export_buffers, get_analysis
 from repro.labeling.spec import LpSpec
 from repro.parallel.pool import WorkerPool
 from repro.reduction.solver import solve_labeling
+from repro.service.api import solve_buffers
 from repro.service.protocol import SolveRequest
 
 SPEC = (2, 1)
@@ -55,6 +57,18 @@ def small_graph(seed: int = 7):
 def buffers_of(graph):
     """The arrays a pool call ships for ``graph``."""
     return export_buffers(get_analysis(graph))
+
+
+def pooled_service(monkeypatch):
+    """A 2-worker service that runs its exact solves on the pool.
+
+    The service picks pool or inline from the effective CPU count alone,
+    so the test makes it see two CPUs.
+    """
+    from repro.service.server import ConcurrentLabelingService
+
+    monkeypatch.setattr("repro.service.server.effective_cpu_count", lambda: 2)
+    return ConcurrentLabelingService(workers=2)
 
 
 def slow_graph(n: int = 60):
@@ -120,28 +134,27 @@ def wait_dead(pid: int) -> None:
 
 
 @pytest.mark.parametrize("start_method", START_METHODS)
-class TestShmWorkerPool:
+class TestWorkerPool:
     def test_pool_solve_matches_inline(self, start_method):
         graph = small_graph()
         inline = solve_labeling(graph, LpSpec(SPEC), engine=ENGINE)
         with WorkerPool(2, start_method=start_method) as pool:
             pool.wait_ready()
-            key, labels, span, engine, exact, seconds = pool.solve(
-                buffers_of(small_graph()), ("k0", SPEC, ENGINE)
+            entry, seconds = pool.call(
+                solve_buffers, buffers_of(small_graph()), SPEC, ENGINE
             )
-        assert key == "k0"
-        assert span == inline.span
-        assert labels == inline.labeling.labels
-        assert engine == inline.engine and exact == inline.exact
+        assert entry.span == inline.span
+        assert entry.labels == inline.labeling.labels
+        assert entry.engine == inline.engine and entry.exact == inline.exact
+        assert entry.gap is None
         assert seconds >= 0
 
     def test_fresh_keys_spread_across_workers(self, start_method):
         with WorkerPool(2, start_method=start_method) as pool:
             pool.wait_ready()
             for i in range(4):
-                pool.solve(
-                    buffers_of(small_graph(seed=i)), (f"k{i}", SPEC, ENGINE)
-                )
+                buffers = buffers_of(small_graph(seed=i))
+                pool.call(solve_buffers, buffers, SPEC, ENGINE)
             # sequential calls rotate the workers
             assert pool.dispatch_counts() == [2, 2]
             assert pool.route_imbalance() == pytest.approx(1.0)
@@ -151,13 +164,13 @@ class TestShmWorkerPool:
         pool.shutdown()
         pool.shutdown()  # idempotent
         with pytest.raises(ReproError, match="shut down"):
-            pool.solve(buffers_of(small_graph()), ("k0", SPEC, ENGINE))
+            pool.call(solve_buffers, buffers_of(small_graph()), SPEC, ENGINE)
 
     def test_pool_starts_no_thread(self, start_method):
         before = set(threading.enumerate())
         with WorkerPool(2, start_method=start_method) as pool:
             pool.wait_ready()
-            pool.solve(buffers_of(small_graph()), ("k0", SPEC, ENGINE))
+            pool.call(solve_buffers, buffers_of(small_graph()), SPEC, ENGINE)
             assert set(threading.enumerate()) - before == set()
 
     def test_worker_error_reraises_and_worker_survives(self, start_method):
@@ -166,12 +179,12 @@ class TestShmWorkerPool:
             pool.wait_ready()
             pid = pool.worker_pids()[0]
             with pytest.raises(ReproError, match="unknown engine"):
-                pool.solve(buffers, ("k", SPEC, "no_such_engine"))
+                pool.call(solve_buffers, buffers, SPEC, "no_such_engine")
             # the failure was the solve's, not the worker's
             assert pool.worker_pids() == [pid]
             assert pool.restart_count == 0
-            _, _, span, *_ = pool.solve(buffers, ("k", SPEC, ENGINE))
-            assert span >= 0
+            entry, _ = pool.call(solve_buffers, buffers, SPEC, ENGINE)
+            assert entry.span >= 0
 
 
 class TestWorkerDeath:
@@ -186,7 +199,7 @@ class TestWorkerDeath:
         with WorkerPool(2, start_method="fork") as pool:
             pool.wait_ready()
             calls = [
-                Call(lambda: pool.solve(slow, ("slow", SPEC, SLOW_ENGINE)))
+                Call(lambda: pool.call(solve_buffers, slow, SPEC, SLOW_ENGINE))
                 for _ in range(2)
             ]
             wait_dispatched(pool, 2)
@@ -197,8 +210,8 @@ class TestWorkerDeath:
             assert pool.restart_count == 2
             # the respawned workers serve again, no retry needed
             for _ in range(2):
-                _, _, span, *_ = pool.solve(small, ("k0", SPEC, ENGINE))
-                assert span >= 0
+                entry, _ = pool.call(solve_buffers, small, SPEC, ENGINE)
+                assert entry.span >= 0
         delta = (
             REGISTRY.value("repro_pool_worker_restarts_total")
             - restarts_before
@@ -213,8 +226,8 @@ class TestWorkerDeath:
             for round_no in range(3):
                 dispatched = sum(pool.dispatch_counts())
                 calls = [
-                    Call(lambda: pool.solve(
-                        buffers, ("k0", SPEC, SLOW_ENGINE)
+                    Call(lambda: pool.call(
+                        solve_buffers, buffers, SPEC, SLOW_ENGINE
                     ))
                     for _ in range(4)
                 ]
@@ -231,12 +244,12 @@ class TestWorkerDeath:
         buffers = buffers_of(small_graph())
         with WorkerPool(1, start_method="fork") as pool:
             pool.wait_ready()
-            pool.solve(buffers, ("k0", SPEC, ENGINE))
+            pool.call(solve_buffers, buffers, SPEC, ENGINE)
             pid = pool.worker_pids()[0]
             os.kill(pid, signal.SIGKILL)
             wait_dead(pid)
-            _, _, span, *_ = pool.solve(buffers, ("k0", SPEC, ENGINE))
-            assert span >= 0
+            entry, _ = pool.call(solve_buffers, buffers, SPEC, ENGINE)
+            assert entry.span >= 0
             assert pool.restart_count == 1
             assert pool.worker_pids()[0] != pid
 
@@ -244,7 +257,7 @@ class TestWorkerDeath:
         slow = buffers_of(slow_graph())
         pool = WorkerPool(1, start_method="fork")
         pool.wait_ready()
-        call = Call(lambda: pool.solve(slow, ("slow", SPEC, SLOW_ENGINE)))
+        call = Call(lambda: pool.call(solve_buffers, slow, SPEC, SLOW_ENGINE))
         wait_dispatched(pool, 1)
         t0 = time.monotonic()
         pool.shutdown()
@@ -256,7 +269,7 @@ class TestWorkerDeath:
 
 def test_unpicklable_worker_error_arrives_as_repro_error(monkeypatch):
     """A solve error that cannot cross the pipe becomes a ReproError."""
-    import repro.reduction.solver
+    import repro.service.api
 
     class Unpicklable(Exception):  # local class: pickling it fails
         pass
@@ -265,11 +278,11 @@ def test_unpicklable_worker_error_arrives_as_repro_error(monkeypatch):
         raise Unpicklable("solver blew up")
 
     # fork: the workers inherit the patched solver
-    monkeypatch.setattr(repro.reduction.solver, "solve_labeling", explode)
+    monkeypatch.setattr(repro.service.api, "solve_labeling", explode)
     with WorkerPool(1, start_method="fork") as pool:
         pool.wait_ready()
         with pytest.raises(ReproError, match="worker solve failed.*blew up") as err:
-            pool.solve(buffers_of(small_graph()), ("k", SPEC, ENGINE))
+            pool.call(solve_buffers, buffers_of(small_graph()), SPEC, ENGINE)
         assert type(err.value) is ReproError
         assert pool.restart_count == 0
 
@@ -277,13 +290,11 @@ def test_unpicklable_worker_error_arrives_as_repro_error(monkeypatch):
 class TestServerIntegration:
     """The serving front end on the pool: correctness + lifecycle."""
 
-    def test_offloaded_server_leaves_no_segments(self):
-        from repro.service.server import ConcurrentLabelingService
-
+    def test_offloaded_server_leaves_no_segments(self, monkeypatch):
         graph = small_graph()
         inline = solve_labeling(graph, LpSpec(SPEC), engine=ENGINE)
         before = shm_entries()
-        with ConcurrentLabelingService(workers=2, offload=True) as server:
+        with pooled_service(monkeypatch) as server:
             server.prewarm()
             result = server.submit(
                 SolveRequest(graph, LpSpec(SPEC), engine=ENGINE)
@@ -294,12 +305,13 @@ class TestServerIntegration:
             # through the worker's pipe, no segment holds them
             assert shm_entries() - before == set()
 
-    def test_offloaded_server_publishes_once_per_canonical_key(self):
+    def test_offloaded_server_publishes_once_per_canonical_key(
+        self, monkeypatch
+    ):
         from repro.graphs.operations import relabel
-        from repro.service.server import ConcurrentLabelingService
 
         graph = small_graph()
-        with ConcurrentLabelingService(workers=2, offload=True) as server:
+        with pooled_service(monkeypatch) as server:
             server.prewarm()
             base = server.submit(
                 SolveRequest(graph, LpSpec(SPEC), engine=ENGINE)
@@ -314,10 +326,9 @@ class TestServerIntegration:
         stats = server.stats.snapshot()
         assert stats["solved"] == 1 and stats["hits"] == 1
 
-    def test_worker_crash_fails_request_and_resubmit_solves(self):
+    def test_worker_crash_fails_request_and_resubmit_solves(self, monkeypatch):
         from repro.errors import error_payload
         from repro.obs.metrics import REGISTRY
-        from repro.service.server import ConcurrentLabelingService
 
         def dispatched() -> float:
             return sum(
@@ -328,7 +339,7 @@ class TestServerIntegration:
         graph = slow_graph()
         request = SolveRequest(graph, LpSpec(SPEC), engine=SLOW_ENGINE)
         before_shm = shm_entries()
-        with ConcurrentLabelingService(workers=2, offload=True) as server:
+        with pooled_service(monkeypatch) as server:
             server.prewarm()
             before = dispatched()
             future = server.submit(request)
