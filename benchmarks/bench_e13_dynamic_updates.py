@@ -16,6 +16,7 @@ Three claims, all asserted (so ``make bench`` is also a correctness gate):
 
 from __future__ import annotations
 
+import contextlib
 import time
 
 import numpy as np
@@ -34,6 +35,7 @@ from repro.harness.workloads import (
     churn_stream,
 )
 from repro.labeling.spec import L21
+from repro.service.server import ConcurrentLabelingService
 from repro.session import LabelingSession
 
 
@@ -82,24 +84,32 @@ def test_churn_stream_speedup():
     )
 
 
-def test_session_fast_path_zero_apsp():
-    g = gen.random_graph_with_diameter_at_most(14, 2, seed=2)
-    session = LabelingSession(g, L21, engine="lk")
-    non_edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if not g.has_edge(u, v)
-    ]
-    before_apsp = apsp_run_count()
-    before_full = full_apsp_refresh_count()
-    for u, v in non_edges[:3]:
-        session.add_edge(u, v)
-    session.add_vertex(connect_to=list(range(6)))
-    assert apsp_run_count() == before_apsp, (
-        "session mutations must repair the oracle, not recompute it"
-    )
-    assert full_apsp_refresh_count() == before_full
+@pytest.mark.parametrize("routed", [False, True], ids=["inline", "service"])
+def test_session_fast_path_zero_apsp(routed):
+    # a routed session hands the service nothing but the graph: the
+    # canonical key reads the trial's delta-repaired oracle on its own
+    with (
+        ConcurrentLabelingService(workers=1)
+        if routed
+        else contextlib.nullcontext()
+    ) as service:
+        g = gen.random_graph_with_diameter_at_most(14, 2, seed=2)
+        session = LabelingSession(g, L21, engine="lk", service=service)
+        non_edges = [
+            (u, v)
+            for u in range(g.n)
+            for v in range(u + 1, g.n)
+            if not g.has_edge(u, v)
+        ]
+        before_apsp = apsp_run_count()
+        before_full = full_apsp_refresh_count()
+        for u, v in non_edges[:3]:
+            session.add_edge(u, v)
+        session.add_vertex(connect_to=list(range(6)))
+        assert apsp_run_count() == before_apsp, (
+            "session mutations must repair the oracle, not recompute it"
+        )
+        assert full_apsp_refresh_count() == before_full
 
 
 def test_bench_incremental_churn(benchmark):

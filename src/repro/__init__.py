@@ -39,7 +39,7 @@ from repro.graphs.traversal import diameter, all_pairs_distances
 from repro.labeling.spec import LpSpec, L21, L11, all_ones
 from repro.labeling.labeling import Labeling
 from repro.dynamic import DeltaEngine, full_apsp_refresh_count
-from repro.reduction.solver import LpTspSolver, SolveResult, solve_labeling
+from repro.reduction.solver import SolveResult, solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
 from repro.service.api import solve_record
 from repro.service.cache import CacheStats
@@ -87,7 +87,6 @@ __all__ = [
     "L11",
     "all_ones",
     "Labeling",
-    "LpTspSolver",
     "SolveResult",
     "solve_labeling",
     "LabelingSession",

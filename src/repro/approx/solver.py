@@ -16,8 +16,8 @@ constraints:
    the tightly-constrained core.
 2. **Select** — pop the stack (most-constrained vertices first) and give
    each vertex the smallest label compatible with the already-labeled
-   ones, using the same jump-past-the-blocking-window first fit as
-   :func:`repro.labeling.greedy.greedy_labeling`.
+   ones, through the same jump-past-the-blocking-window first fit
+   :func:`repro.labeling.greedy.greedy_labeling` runs.
 
 Feasibility is by construction: select never places a label inside a
 forbidden window.  The **certified gap** comes from the existing
@@ -39,9 +39,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.analysis import GraphAnalysis, get_analysis
+from repro.graphs.analysis import get_analysis
 from repro.graphs.graph import Graph
 from repro.labeling.bounds import lower_bound
+from repro.labeling.greedy import _first_fit, _requirement_rows
 from repro.labeling.labeling import Labeling, requirement_matrix
 from repro.labeling.spec import LpSpec
 from repro.obs.metrics import REGISTRY
@@ -79,7 +80,6 @@ class ApproxResult:
 def approx_labeling(
     graph: Graph,
     spec: LpSpec,
-    analysis: GraphAnalysis | None = None,
     seed: int = 0,
 ) -> ApproxResult:
     """Simplify/select labeling with a certified optimality gap.
@@ -100,23 +100,10 @@ def approx_labeling(
     n = graph.n
     if n == 0:
         return _record(Labeling(()), 0, time.perf_counter() - t0)
-    analysis = analysis if analysis is not None else get_analysis(graph)
-    # Small graphs gather the requirement matrix once; large ones fetch one
-    # requirement row per vertex per pass through the blocked oracle, so the
-    # approx tier inherits the oracle's memory bound.
-    req = (
-        requirement_matrix(spec, analysis.distances)
-        if analysis.dense_preferred
-        else None
-    )
-
-    def row_of(v: int) -> np.ndarray:
-        return (
-            req[v]
-            if req is not None
-            else requirement_matrix(spec, analysis.row(v))
-        )
-
+    analysis = get_analysis(graph)
+    # the approx tier inherits first fit's memory bound: no O(n^2)
+    # requirement matrix above the oracle's dense limit
+    req, row_of = _requirement_rows(spec, analysis)
     if req is not None:
         degrees = (req > 0).sum(axis=1).astype(np.int64)
     else:
@@ -126,7 +113,8 @@ def approx_labeling(
 
     tiebreak = np.random.default_rng(seed).permutation(n)
     stack = _simplify(n, degrees, row_of, tiebreak)
-    labels = _select(n, stack, row_of)
+    # select: pop the stack, most-constrained vertices first
+    labels = _first_fit(n, stack[::-1], row_of)
 
     lb = lower_bound(
         graph, spec, dist=analysis.distances if req is not None else None
@@ -160,24 +148,6 @@ def _simplify(n, degrees, row_of, tiebreak) -> list[int]:
             for u in nbrs:
                 heapq.heappush(heap, (int(deg[u]), int(tiebreak[u]), int(u)))
     return stack
-
-
-def _select(n, stack, row_of) -> np.ndarray:
-    """Pop the stack and first-fit each vertex (jump past blocking windows)."""
-    labels = np.full(n, -1, dtype=np.int64)
-    for v in reversed(stack):
-        rv = row_of(v)
-        constraining = np.nonzero((rv > 0) & (labels >= 0))[0]
-        x = 0
-        while True:
-            gaps = np.abs(labels[constraining] - x)
-            bad = gaps < rv[constraining]
-            if not bad.any():
-                break
-            u = constraining[bad][0]
-            x = int(labels[u] + rv[u])
-        labels[v] = x
-    return labels
 
 
 def _record(labeling: Labeling, lb: int, seconds: float) -> ApproxResult:

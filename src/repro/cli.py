@@ -486,7 +486,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     Binds the listener, prints the resolved URL on stderr, and parks until
     a termination signal arrives; then drains gracefully — in-flight
-    requests finish, late submissions get 503 — before exiting 0.
+    requests finish, late submissions get 503 — before exiting 0.  A
+    listener that cannot bind retires the service and raises a
+    :class:`ReproError` (exit 2).
     """
     import asyncio
     import signal
@@ -499,7 +501,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             workers=args.workers, queue_size=args.queue_size
         )
         server = NetworkServer(service, host=args.host, port=args.port)
-        await server.start()
+        try:
+            await server.start()
+        except OSError as exc:   # busy port, bad host: nothing to drain
+            service.shutdown(wait=False)
+            raise ReproError(
+                f"cannot listen on {args.host}:{args.port}: {exc}"
+            ) from exc
         print(f"serving on {server.url}", file=sys.stderr, flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_running_loop()

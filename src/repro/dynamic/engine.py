@@ -34,7 +34,6 @@ import repro.graphs.analysis as analysis_mod
 from repro.graphs.analysis import (
     GraphAnalysis,
     attach_distances,
-    ensure_current,
     get_analysis,
 )
 from repro.graphs.graph import Graph, Mutation
@@ -175,15 +174,18 @@ class DeltaEngine:
     1
     """
 
-    def __init__(
-        self, graph: Graph, analysis: GraphAnalysis | None = None
-    ) -> None:
-        """Seed the engine from ``graph``'s (or the given) current analysis."""
-        self._seed(graph, ensure_current(graph, analysis))
+    def __init__(self, graph: Graph) -> None:
+        """Seed the engine from ``graph``'s memoized analysis."""
+        self._seed(graph)
 
-    def _seed(self, graph: Graph, analysis: GraphAnalysis) -> None:
-        """Take ``graph``'s current state, copying ``analysis``'s matrix."""
-        self.dist = np.array(analysis.distances, copy=True)
+    def _seed(self, graph: Graph) -> None:
+        """Take ``graph``'s current state, copying its oracle's matrix.
+
+        Through the graph's memoized oracle: a matrix it already holds is
+        reused, otherwise it runs the one APSP (dense, or assembled from
+        int16 row blocks above the dense limit).
+        """
+        self.dist = np.array(get_analysis(graph).distances, copy=True)
         self.adj = graph.adjacency_matrix(dtype=np.bool_)
         self.m = graph.m
         self.version = graph.version
@@ -293,10 +295,7 @@ class DeltaEngine:
     def _full_resync(self, graph: Graph) -> None:
         """Abandon incremental repair: rebuild state from the graph (counted)."""
         _FULL_REFRESHES.inc()
-        # through the graph's memoized oracle: a matrix it already holds is
-        # reused, otherwise it runs the one APSP (dense, or assembled from
-        # int16 row blocks above the dense limit)
-        self._seed(graph, get_analysis(graph))
+        self._seed(graph)
 
 
 #: How many trailing mutation records the lineage witness compares.  One

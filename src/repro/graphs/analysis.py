@@ -16,6 +16,12 @@ The invariant exported to the rest of the codebase:
     version within a process** (asserted in tests via
     :func:`repro.graphs.traversal.apsp_run_count`).
 
+This module is the only place that decides how a graph gets its distances:
+:func:`get_analysis` reads (or lazily builds) the memoized oracle and
+:func:`attach_distances` seeds it with a matrix the caller already holds.
+No layer above passes an analysis down a call chain — each consumer asks
+the graph it was handed.
+
 Cheap scalar facts (connectivity, degrees, components) are derived without
 touching the APSP, so fail-fast paths — e.g. rejecting a disconnected graph
 — never pay for the full matrix.
@@ -503,91 +509,15 @@ def get_analysis(graph: Graph) -> GraphAnalysis:
     return analysis
 
 
-def ensure_current(
-    graph: Graph, analysis: GraphAnalysis | None
-) -> GraphAnalysis:
-    """Validate a forwarded analysis, or fetch the graph's memoized one.
-
-    Entry points that accept an ``analysis=`` parameter route through this
-    so a stale or foreign analysis can never silently feed a solve *and*
-    its verification — the failure mode a shared matrix would otherwise
-    make undetectable.
-    """
-    if analysis is None:
-        return get_analysis(graph)
-    if analysis.graph is not graph or not analysis.is_current():
-        raise ValueError(
-            "forwarded GraphAnalysis is stale or belongs to a different graph"
-        )
-    return analysis
-
-
-def export_buffers(analysis: GraphAnalysis) -> dict[str, np.ndarray]:
-    """The analysis's heavy arrays, keyed by field name, copy-free.
-
-    ``distances`` (the ``n x n`` APSP matrix), plus the CSR adjacency pair
-    ``indptr``/``indices`` — everything a worker process needs to solve
-    on the graph, as plain arrays that cross a pipe without pickling the
-    graph itself.  Returns the live arrays (no copy); the caller treats
-    them as read-only, same as every other consumer of the oracle.
-    """
-    return {
-        "distances": analysis.distances,
-        "indptr": analysis.indptr,
-        "indices": analysis.indices,
-    }
-
-
-def adopt_buffers(
-    n: int,
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    distances: np.ndarray,
-) -> Graph:
-    """Rebuild a graph + seeded analysis from exported buffers, copy-free.
-
-    The inverse of :func:`export_buffers` on the far side of a process
-    boundary: the adjacency structure is reconstructed from the CSR pair,
-    and the returned graph's memoized :class:`GraphAnalysis` holds the
-    *given arrays themselves*, so every downstream consumer (reduction,
-    verify, refinement) reads them directly and no APSP runs again.  The
-    caller vouches for consistency between the CSR pair and the matrix;
-    shapes are checked, content is trusted.
-    """
-    indptr = np.asarray(indptr, dtype=np.int64)
-    indices = np.asarray(indices, dtype=np.int64)
-    distances = np.asarray(distances)
-    if distances.dtype.kind != "i":
-        distances = distances.astype(np.int64)
-    if indptr.shape != (n + 1,):
-        raise ValueError(f"indptr shape {indptr.shape} does not match n={n}")
-    if distances.shape != (n, n):
-        raise ValueError(
-            f"distance matrix shape {distances.shape} does not match n={n}"
-        )
-    edges = [
-        (v, int(w))
-        for v in range(n)
-        for w in indices[indptr[v]:indptr[v + 1]]
-        if v < w
-    ]
-    graph = Graph(n, edges)
-    analysis = GraphAnalysis(graph)
-    analysis._indptr = indptr
-    analysis._indices = indices
-    analysis._distances = distances
-    graph._analysis = analysis
-    return graph
-
-
 def attach_distances(graph: Graph, distances: np.ndarray) -> GraphAnalysis:
     """Seed the graph's oracle with an externally derived distance matrix.
 
-    For callers that *already know* the matrix — e.g. the batch service,
-    whose canonical graph's distances are a permutation of the request
-    graph's — this installs it so downstream layers (reduction, verify)
-    never recompute.  The caller vouches for correctness; shape is checked,
-    content is trusted.
+    For callers that *already know* the matrix — the batch service, whose
+    canonical graph's distances are a permutation of the request graph's;
+    a pool worker, which receives them over the pipe; the dynamic engine,
+    which repairs them across a mutation — this installs it so downstream
+    layers (reduction, verify) never recompute.  The caller vouches for
+    correctness; shape is checked, content is trusted.
     """
     distances = np.asarray(distances)
     if distances.dtype.kind != "i":

@@ -42,7 +42,6 @@ def run_engines(
     workloads: list[Workload],
     spec: LpSpec,
     engines: list[str],
-    verify: bool = True,
 ) -> list[EngineRun]:
     """Run every engine on every workload; annotate ratios per workload.
 
@@ -53,15 +52,13 @@ def run_engines(
     for wl in workloads:
         per_wl: list[EngineRun] = []
         # one shared analysis per workload: every engine's reduce + verify
-        # reads the same distance matrix; prewarming it here keeps the
-        # per-engine timings below free of APSP cost and thus comparable
-        analysis = get_analysis(wl.graph)
-        analysis.distances
+        # reads the graph's memoized distance matrix; prewarming it here
+        # keeps the per-engine timings below free of APSP cost and thus
+        # comparable
+        get_analysis(wl.graph).distances
         for engine in engines:
             result, secs = time_call(
-                lambda e=engine: solve_labeling(
-                    wl.graph, spec, engine=e, verify=verify, analysis=analysis
-                )
+                lambda e=engine: solve_labeling(wl.graph, spec, engine=e)
             )
             per_wl.append(
                 EngineRun(

@@ -8,12 +8,12 @@ incumbent, as a baseline engine in the harness tables, and as the
 
 from __future__ import annotations
 
-from typing import Literal, Sequence
+from typing import Callable, Literal, Sequence
 
 import numpy as np
 
 from repro.errors import ReproError
-from repro.graphs.analysis import get_analysis
+from repro.graphs.analysis import GraphAnalysis, get_analysis
 from repro.graphs.graph import Graph
 from repro.graphs.traversal import bfs_distances
 from repro.labeling.labeling import Labeling, requirement_matrix
@@ -40,22 +40,41 @@ def greedy_labeling(
     n = graph.n
     if n == 0:
         return Labeling(())
-    analysis = get_analysis(graph)
-    # small graphs keep the one-gather dense requirement matrix; large ones
-    # fetch one requirement row per vertex through the blocked oracle, so
-    # first-fit never holds O(n^2) memory
+    _, row_of = _requirement_rows(spec, get_analysis(graph))
+    labels = _first_fit(n, _resolve_order(graph, order, seed), row_of)
+    return Labeling(tuple(int(x) for x in labels))
+
+
+def _requirement_rows(
+    spec: LpSpec, analysis: GraphAnalysis
+) -> tuple[np.ndarray | None, Callable[[int], np.ndarray]]:
+    """``(req, row_of)``: the dense requirement matrix, or ``None``, and rows.
+
+    Small graphs gather the matrix once; large ones fetch one requirement
+    row per ``row_of(v)`` call through the blocked oracle, so first fit
+    never holds ``O(n^2)`` memory.
+    """
     req = (
         requirement_matrix(spec, analysis.distances)
         if analysis.dense_preferred
         else None
     )
+    if req is not None:
+        return req, req.__getitem__
+    return None, lambda v: requirement_matrix(spec, analysis.row(v))
 
-    perm = _resolve_order(graph, order, seed)
+
+def _first_fit(
+    n: int, order: Sequence[int], row_of: Callable[[int], np.ndarray]
+) -> np.ndarray:
+    """Give each vertex of ``order`` the smallest compatible label.
+
+    ``row_of(v)`` is ``v``'s requirement row.  Shared by
+    :func:`greedy_labeling` and the approx tier's select pass.
+    """
     labels = np.full(n, -1, dtype=np.int64)
-    for v in perm:
-        rv = req[v] if req is not None else requirement_matrix(
-            spec, analysis.row(v)
-        )
+    for v in order:
+        rv = row_of(v)
         constraining = np.nonzero((rv > 0) & (labels >= 0))[0]
         x = 0
         while True:
@@ -67,7 +86,7 @@ def greedy_labeling(
             u = constraining[bad][0]
             x = int(labels[u] + rv[u])
         labels[v] = x
-    return Labeling(tuple(int(x) for x in labels))
+    return labels
 
 
 def greedy_span(

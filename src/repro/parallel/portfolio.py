@@ -22,7 +22,7 @@ def _solve_one(args: tuple[int, list[tuple[int, int]], tuple[int, ...], str]) ->
     n, edges, p, engine = args
     graph = Graph(n, edges)
     spec = LpSpec(p)
-    result = solve_labeling(graph, spec, engine=engine, verify=True)
+    result = solve_labeling(graph, spec, engine=engine)
     return engine, result.span, result.labeling.labels
 
 
@@ -41,7 +41,7 @@ def portfolio_solve(
     tasks = [(graph.n, edges, spec.p, e) for e in engines]
     outcomes = parallel_map(_solve_one, tasks, workers=workers)
     best_engine = min(outcomes, key=lambda o: o[1])[0]
-    return solve_labeling(graph, spec, engine=best_engine, verify=True)
+    return solve_labeling(graph, spec, engine=best_engine)
 
 
 def sequential_portfolio(
@@ -50,7 +50,7 @@ def sequential_portfolio(
     """The same best-of-K, one engine after another (baseline for E10)."""
     best: SolveResult | None = None
     for e in engines:
-        r = solve_labeling(graph, spec, engine=e, verify=True)
+        r = solve_labeling(graph, spec, engine=e)
         if best is None or r.span < best.span:
             best = r
     assert best is not None

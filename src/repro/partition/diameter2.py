@@ -122,7 +122,7 @@ def solve_lpq_diameter2(
     # re-verified, so the reported span is always achieved.
     order = [v for path in paths for v in path]
 
-    red = reduce_to_path_tsp(graph, spec, analysis=analysis)
+    red = reduce_to_path_tsp(graph, spec)
     labeling = labeling_from_order(red, order)
     labeling.require_feasible(graph, spec, dist=red.distances)
 

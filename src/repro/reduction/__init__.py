@@ -13,7 +13,7 @@ from repro.reduction.validation import (
 )
 from repro.reduction.to_tsp import reduce_to_path_tsp, ReducedInstance
 from repro.reduction.from_tour import labeling_from_order, span_for_order
-from repro.reduction.solver import LpTspSolver, SolveResult, solve_labeling
+from repro.reduction.solver import SolveResult, solve_labeling
 
 __all__ = [
     "check_applicable",
@@ -23,7 +23,6 @@ __all__ = [
     "ReducedInstance",
     "labeling_from_order",
     "span_for_order",
-    "LpTspSolver",
     "SolveResult",
     "solve_labeling",
 ]

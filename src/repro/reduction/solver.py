@@ -7,7 +7,8 @@ This is the library's front door.  It packages the paper's framework exactly:
 3. solve with a selectable engine (:mod:`repro.tsp.portfolio` — exact
    Held–Karp, guaranteed 1.5-approx Hoogeveen, LK-style heuristic, ...),
 4. reconstruct the labeling by prefix sums (Claim 1) and **re-verify it**
-   against the original graph, so an engine bug can never escape as a
+   against the original graph — always; the check reuses the reduction's
+   distance matrix — so an engine bug can never escape as a
    silently-infeasible labeling.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from repro.graphs.analysis import GraphAnalysis
 from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import LpSpec
@@ -49,8 +49,6 @@ def solve_labeling(
     graph: Graph,
     spec: LpSpec,
     engine: str = "auto",
-    verify: bool = True,
-    analysis: GraphAnalysis | None = None,
 ) -> SolveResult:
     """Solve L(p)-labeling via the TSP framework.
 
@@ -59,14 +57,11 @@ def solve_labeling(
     engine:
         An engine name from :data:`repro.tsp.portfolio.ENGINES`, or ``auto``
         (exact for small ``n``, LK-style beyond).
-    verify:
-        Re-check the reconstructed labeling against the original graph.
-        Reuses the reduction's distance matrix + ``O(k n^2)``; on by default.
-    analysis:
-        Forward an existing :class:`GraphAnalysis` so validation, the
-        reduction and verification all share one distance matrix.  The
-        default pulls the graph's memoized oracle, which gives the same
-        guarantee within a process.
+
+    The reconstructed labeling is always re-checked against the original
+    graph, off the reduction's distance matrix (``O(k n^2)`` on top of the
+    one APSP the graph's memoized oracle pays), and its span against the
+    path weight (Claim 1).
 
     Raises
     ------
@@ -79,19 +74,18 @@ def solve_labeling(
     4
     """
     t0 = time.perf_counter()
-    red = reduce_to_path_tsp(graph, spec, analysis=analysis)
+    red = reduce_to_path_tsp(graph, spec)
     t1 = time.perf_counter()
     resolved = resolve_engine(engine, red.n)
     path = solve_path(red.instance, resolved)
     t2 = time.perf_counter()
 
     labeling = labeling_from_order(red, path.order)
-    if verify:
-        labeling.require_feasible(graph, spec, dist=red.distances)
-        # Claim 1 consistency: span must equal the path weight
-        assert labeling.span == int(round(path.length)), (
-            f"span {labeling.span} != path weight {path.length}"
-        )
+    labeling.require_feasible(graph, spec, dist=red.distances)
+    # Claim 1 consistency: span must equal the path weight
+    assert labeling.span == int(round(path.length)), (
+        f"span {labeling.span} != path weight {path.length}"
+    )
     return SolveResult(
         labeling=labeling,
         span=labeling.span,
@@ -103,26 +97,3 @@ def solve_labeling(
         solve_seconds=t2 - t1,
     )
 
-
-class LpTspSolver:
-    """Reusable facade bound to one spec (convenient for sweeps).
-
-    >>> from repro.labeling.spec import L21
-    >>> from repro.graphs.generators import complete_graph
-    >>> LpTspSolver(L21).solve(complete_graph(4)).span
-    6
-    """
-
-    def __init__(self, spec: LpSpec, engine: str = "auto", verify: bool = True):
-        """Bind a spec, engine choice and verification policy."""
-        self.spec = spec
-        self.engine = engine
-        self.verify = verify
-
-    def solve(self, graph: Graph) -> SolveResult:
-        """Solve the bound spec on ``graph`` (see :func:`solve_labeling`)."""
-        return solve_labeling(graph, self.spec, engine=self.engine, verify=self.verify)
-
-    def span(self, graph: Graph) -> int:
-        """The solved span only (convenience for sweeps)."""
-        return self.solve(graph).span

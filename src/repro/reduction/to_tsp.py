@@ -42,7 +42,7 @@ class ReducedInstance:
     spec: LpSpec
     distances: np.ndarray
     instance: TSPInstance
-    analysis: GraphAnalysis | None = None
+    analysis: GraphAnalysis
 
     @property
     def n(self) -> int:
@@ -50,14 +50,12 @@ class ReducedInstance:
         return self.instance.n
 
 
-def reduce_to_path_tsp(
-    graph: Graph, spec: LpSpec, analysis: GraphAnalysis | None = None
-) -> ReducedInstance:
+def reduce_to_path_tsp(graph: Graph, spec: LpSpec) -> ReducedInstance:
     """Build ``H`` with ``w(u,v) = p_{dist(u,v)}`` after checking Theorem 2.
 
-    ``analysis`` forwards an existing oracle (the default pulls the graph's
-    memoized one), so validation, the weight gather and every later
-    consumer of the returned instance share a single distance matrix.
+    Validation, the weight gather and every later consumer of the returned
+    instance read the graph's memoized oracle, so they share a single
+    distance matrix.
 
     >>> from repro.graphs.generators import cycle_graph
     >>> from repro.labeling.spec import L21
@@ -65,7 +63,7 @@ def reduce_to_path_tsp(
     >>> float(red.instance.weights.min()), float(red.instance.weights.max())
     (0.0, 2.0)
     """
-    report: ApplicabilityReport = check_applicable(graph, spec, analysis=analysis)
+    report: ApplicabilityReport = check_applicable(graph, spec)
     n = graph.n
 
     # w[u, v] = p[dist[u, v]], gathered one distance row block at a time; p

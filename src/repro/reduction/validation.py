@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.errors import ReductionNotApplicableError
-from repro.graphs.analysis import GraphAnalysis, ensure_current
+from repro.graphs.analysis import GraphAnalysis, get_analysis
 from repro.graphs.graph import Graph
 from repro.labeling.spec import LpSpec
 
@@ -69,18 +69,14 @@ class ApplicabilityReport:
         return "applicable"
 
 
-def analyze(
-    graph: Graph, spec: LpSpec, analysis: GraphAnalysis | None = None
-) -> ApplicabilityReport:
-    """Compute the report; pass ``analysis`` to reuse an existing oracle.
+def analyze(graph: Graph, spec: LpSpec) -> ApplicabilityReport:
+    """Compute the report off the graph's memoized oracle.
 
-    A forwarded analysis must belong to ``graph``'s current version
-    (:func:`~repro.graphs.analysis.ensure_current` raises otherwise).
     Disconnected graphs short-circuit on the single-BFS connectivity check;
     the APSP only runs (through the oracle, hence at most once per graph
     version) when the diameter is actually needed.
     """
-    a = ensure_current(graph, analysis)
+    a = get_analysis(graph)
     connected = a.is_connected
     diam = a.diameter if connected else None
     return ApplicabilityReport(
@@ -98,11 +94,9 @@ def is_applicable(graph: Graph, spec: LpSpec) -> bool:
     return analyze(graph, spec).applicable
 
 
-def check_applicable(
-    graph: Graph, spec: LpSpec, analysis: GraphAnalysis | None = None
-) -> ApplicabilityReport:
+def check_applicable(graph: Graph, spec: LpSpec) -> ApplicabilityReport:
     """Return the report, raising :class:`ReductionNotApplicableError` if bad."""
-    report = analyze(graph, spec, analysis=analysis)
+    report = analyze(graph, spec)
     if not report.applicable:
         raise ReductionNotApplicableError(
             f"Theorem 2 reduction not applicable: {report.reason()}"

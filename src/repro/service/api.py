@@ -8,7 +8,7 @@ in canonical vertex order
 entry.  Labels come back in canonical coordinates, so
 one cached answer serves every isomorphic request.  A pool worker runs the
 same recipe through :func:`solve_buffers`, which first rebuilds the graph
-from the arrays that crossed the pipe.
+from the canonical edges and distance matrix that crossed the pipe.
 
 The front end that queues, dedups and caches those solves is
 :class:`repro.service.server.ConcurrentLabelingService`; this module holds
@@ -22,8 +22,10 @@ from __future__ import annotations
 
 import time
 
+import numpy as np
+
 from repro.approx import APPROX_ENGINE, approx_labeling
-from repro.graphs.analysis import adopt_buffers
+from repro.graphs.analysis import attach_distances
 from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import LpSpec
@@ -68,20 +70,23 @@ def solve_graph(
 
 
 def solve_buffers(
-    buffers: dict, p: tuple[int, ...], engine: str
+    edges: tuple[tuple[int, int], ...],
+    distances: np.ndarray,
+    p: tuple[int, ...],
+    engine: str,
 ) -> tuple[CachedSolve, float]:
-    """:func:`solve_graph` on the graph ``buffers`` encode, exact tier.
+    """:func:`solve_graph`, exact tier, on a canonical graph rebuilt here.
 
-    ``buffers`` is what :func:`~repro.graphs.analysis.export_buffers`
-    returns for a canonical graph; the graph is rebuilt around those
-    arrays with :func:`~repro.graphs.analysis.adopt_buffers`.  This is the
-    function a :class:`~repro.parallel.pool.WorkerPool` worker runs, so
-    only arrays, the spec's ``p`` and the engine name cross the pipe.
+    ``edges`` is a :class:`~repro.service.canonical.CanonicalForm`'s
+    sorted edge set and ``distances`` its canonical graph's distance
+    matrix; the graph is built from the edges and its oracle seeded with
+    the matrix (:func:`~repro.graphs.analysis.attach_distances`), so no
+    APSP runs here.  This is the function a :class:`~repro.parallel.pool.WorkerPool`
+    worker runs, so only the edges, the matrix, the spec's ``p`` and the
+    engine name cross the pipe.
     """
-    distances = buffers["distances"]
-    graph = adopt_buffers(
-        distances.shape[0], buffers["indptr"], buffers["indices"], distances
-    )
+    graph = Graph(len(distances), edges)
+    attach_distances(graph, distances)
     return solve_graph(graph, LpSpec(p), engine, "exact")
 
 

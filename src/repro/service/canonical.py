@@ -25,12 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.graphs.analysis import (
-    GraphAnalysis,
-    attach_distances,
-    ensure_current,
-    get_analysis,
-)
+from repro.graphs.analysis import attach_distances, get_analysis
 from repro.graphs.graph import Graph
 from repro.labeling.spec import LpSpec
 
@@ -70,14 +65,13 @@ class CanonicalForm:
         return tuple(labels[self.position[v]] for v in range(self.n))
 
 
-def canonical_form(
-    graph: Graph, spec: LpSpec, analysis: GraphAnalysis | None = None
-) -> CanonicalForm:
+def canonical_form(graph: Graph, spec: LpSpec) -> CanonicalForm:
     """Canonical certificate for a ``(graph, spec)`` request.
 
-    ``analysis`` forwards an existing oracle; by default the refinement
-    reads the graph's memoized one, so key computation and a subsequent
-    solve of the same graph share a single APSP.
+    The refinement reads the graph's memoized oracle, so key computation
+    and a subsequent solve of the same graph share a single APSP — and a
+    graph whose oracle was seeded (a session's delta-repaired trial) pays
+    none.
 
     >>> from repro.graphs.generators import cycle_graph
     >>> from repro.graphs.operations import relabel
@@ -87,7 +81,7 @@ def canonical_form(
     >>> a.key == b.key
     True
     """
-    order = canonical_order(graph, analysis=analysis)
+    order = canonical_order(graph)
     position = [0] * graph.n
     for idx, v in enumerate(order):
         position[v] = idx
@@ -109,9 +103,7 @@ def canonical_form(
     )
 
 
-def canonical_order(
-    graph: Graph, analysis: GraphAnalysis | None = None
-) -> tuple[int, ...]:
+def canonical_order(graph: Graph) -> tuple[int, ...]:
     """A relabeling-invariant vertex order (canonical index -> vertex id).
 
     Colour refinement over the distance matrix (shared through the analysis
@@ -127,7 +119,7 @@ def canonical_order(
         return ()
     if n == 1:
         return (0,)
-    dist = ensure_current(graph, analysis).distances
+    dist = get_analysis(graph).distances
 
     colors = _refine(dist, _initial_colors(graph, dist))
     while int(colors.max()) < n - 1:   # not yet discrete

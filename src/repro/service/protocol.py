@@ -11,10 +11,9 @@ bodies.  Both directions are
 lossless (``from_json(to_json(x))`` reconstructs an equal object), so a
 request serialized by one client, replayed from a log, or round-tripped
 through the NDJSON batch endpoint always means the same instance.
-
-The only field that does not cross the wire is ``SolveRequest.analysis`` —
-a pre-computed distance oracle is a same-process optimization; a remote
-peer could neither serialize nor trust one.
+Every ``SolveRequest`` field crosses the wire (``graph`` as ``n`` plus
+sorted ``edges``, ``spec`` as ``p``); a distance oracle never does — the
+serving side reads the request graph's own memoized one.
 
 Malformed wire payloads raise :class:`~repro.errors.RequestValidationError`,
 which the error table in :mod:`repro.errors` maps to HTTP 400.
@@ -26,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 from repro.errors import ReproError, RequestValidationError
-from repro.graphs.analysis import GraphAnalysis
 from repro.graphs.graph import Graph
 from repro.labeling.labeling import Labeling
 from repro.labeling.spec import LpSpec
@@ -55,15 +53,10 @@ class SolveRequest:
     #: request (HTTP 504, counted not errored) once the budget is spent
     #: before a solve starts.  ``None`` means no deadline.
     deadline_ms: int | None = None
-    #: Optional pre-computed oracle for ``graph`` (e.g. a session's
-    #: delta-repaired one); forwarded into canonicalization, where a stale
-    #: or foreign analysis is rejected loudly.  Never serialized and never
-    #: shipped to pool workers — only key derivation on this side reads it.
-    analysis: GraphAnalysis | None = None
 
     # ------------------------------------------------------------------
     def to_json(self) -> dict:
-        """The wire form: plain JSON-ready dict (``analysis`` excluded).
+        """The wire form: plain JSON-ready dict.
 
         >>> SolveRequest(Graph(2, [(0, 1)]), LpSpec((2,))).to_json()
         {'n': 2, 'edges': [[0, 1]], 'p': [2], 'engine': 'auto', 'tag': None, 'tier': 'auto', 'deadline_ms': None}

@@ -20,8 +20,8 @@ runs inline on the one worker thread.  The pieces:
   one blocking :meth:`~WorkerPool.call`; otherwise they solve inline and
   the threads still provide queuing, coalescing and backpressure.  Both
   sides run :func:`~repro.service.api.solve_graph`, and a pooled request
-  crosses the process boundary as canonical arrays — the graph itself
-  never pickles.  A worker process that dies mid-solve fails that
+  crosses the process boundary as its canonical edges plus distance
+  matrix — the graph itself never pickles.  A worker process that dies mid-solve fails that
   request with :class:`~repro.errors.WorkerCrashedError` and is
   respawned.
 - **Dedup in flight** — concurrent requests with the same canonical key
@@ -62,7 +62,7 @@ from repro.errors import (
     ServiceClosedError,
     ServiceOverloadedError,
 )
-from repro.graphs.analysis import export_buffers, get_analysis
+from repro.graphs.analysis import get_analysis
 from repro.obs.metrics import REGISTRY, CounterSet
 from repro.obs.trace import TRACER, SpanContext
 from repro.parallel.pool import WorkerPool, effective_cpu_count
@@ -405,10 +405,10 @@ class ConcurrentLabelingService:
     ) -> Future:
         """Enqueue one request; returns a future of its ``SolveResponse``.
 
-        The canonical key is derived on the calling thread (the request's
-        ``analysis`` forwards a pre-computed oracle, e.g. a session's
-        delta-repaired one, so the key costs no APSP run); everything
-        after that happens on the worker pool.  Identical in-flight
+        The canonical key is derived on the calling thread from the request
+        graph's memoized oracle (a session's delta-repaired trial arrives
+        with it seeded, so the key costs no APSP run); everything after
+        that happens on the worker pool.  Identical in-flight
         requests coalesce onto one solve, but each caller's future
         resolves in its *own* vertex order.
 
@@ -427,9 +427,7 @@ class ConcurrentLabelingService:
             if request.deadline_ms is not None
             else None
         )
-        form = canonical_form(
-            request.graph, request.spec, analysis=request.analysis
-        )
+        form = canonical_form(request.graph, request.spec)
         key = _composed_key(form, request, tier=tier)
 
         # Fast path: a warm cache answers without touching the queue.  The
@@ -623,8 +621,9 @@ class ConcurrentLabelingService:
         submit time into canonical order.  The approx tier, and every
         solve of a service without a pool, runs on the calling worker
         thread — a process hop would cost more than the one-pass solve.
-        Otherwise the canonical graph's exported arrays travel to a pool
-        worker, which runs the same recipe through :func:`solve_buffers`.
+        Otherwise the canonical edges and the canonical distance matrix
+        travel to a pool worker, which rebuilds the graph and runs the same
+        recipe through :func:`solve_buffers`.
         """
         request = job.request
         canonical = canonical_instance(job.form, request.graph)
@@ -634,7 +633,8 @@ class ConcurrentLabelingService:
             )
         return self._pool.call(
             solve_buffers,
-            export_buffers(get_analysis(canonical)),
+            job.form.edges,
+            get_analysis(canonical).distances,
             request.spec.p,
             request.engine,
         )

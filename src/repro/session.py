@@ -188,9 +188,10 @@ class LabelingSession:
             )
         before = self.current if self._history else None
         self._graph = trial
-        # the applicability check above read the repaired (or, cold, the
-        # freshly computed) oracle; forward it so the re-solve computes none
-        self._resolve(analysis=report.analysis)
+        # the applicability check above read the trial's memoized oracle
+        # (repaired, or cold the freshly computed one); the re-solve reads
+        # the same one, so it computes none
+        self._resolve()
         if before is None:
             return AssignmentDelta(self.span, self.span, ())
         relabeled, added = _diff_labels(
@@ -217,19 +218,19 @@ class LabelingSession:
                 or warm._distances is None
             ):
                 return  # nothing to repair from; analyze pays the one APSP
-            self._engine = DeltaEngine(self._graph, warm)
+            self._engine = DeltaEngine(self._graph)
         self._engine.refresh(trial)
         self._engine.attach(trial)
 
-    def _resolve(self, analysis=None) -> None:
+    def _resolve(self) -> None:
         """Solve the current graph via the service (or inline) and record it."""
         if self.service is not None:
-            # forward the repaired oracle explicitly: the canonical cache
-            # key is derived from the same matrix the delta engine repaired.
-            # The exact tier keeps the router from degrading the answer, so
-            # it matches the service-free path; the session is synchronous
-            # by contract, so wait here (the graph must not mutate while a
-            # worker may still read it)
+            # the canonical cache key is derived from the graph's memoized
+            # oracle — the matrix the delta engine repaired.  The exact tier
+            # keeps the router from degrading the answer, so it matches the
+            # service-free path; the session is synchronous by contract, so
+            # wait here (the graph must not mutate while a worker may still
+            # read it)
             from repro.service.protocol import SolveRequest
 
             result = self.service.submit(
@@ -238,13 +239,10 @@ class LabelingSession:
                     spec=self.spec,
                     engine=self.engine,
                     tier="exact",
-                    analysis=analysis,
                 )
             ).result()
         else:
-            result = solve_labeling(
-                self._graph, self.spec, engine=self.engine, analysis=analysis
-            )
+            result = solve_labeling(self._graph, self.spec, engine=self.engine)
         self._history.append(result)
 
 

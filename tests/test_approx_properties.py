@@ -10,15 +10,18 @@ things it may never trade away, and each is a property here:
   brute-force optimum where that is computable), so ``gap = span - lb``
   is a true upper bound on the distance to optimal;
 - **determinism** — a fixed ``(graph, spec, seed)`` reproduces the exact
-  same labels bit for bit; the degraded tier must be replayable.
+  same labels bit for bit; the degraded tier must be replayable (and on
+  three small graphs the labels themselves are pinned).
 """
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.approx import approx_labeling
+from repro.graphs.generators import cycle_graph, paper_figure1_graph, star_graph
 from repro.graphs.graph import Graph
 from repro.labeling.bounds import lower_bound
 from repro.labeling.exact import exact_labeling
@@ -143,3 +146,17 @@ def test_empty_graph_short_circuit():
     res = approx_labeling(Graph(0, []), L21)
     assert res.labeling.labels == ()
     assert res.span == 0 and res.gap == 0 and res.ratio == 1.0
+
+
+@pytest.mark.parametrize(
+    "graph, expected",
+    [
+        (paper_figure1_graph(), (4, 0, 2, 0, 5)),
+        (cycle_graph(6), (1, 3, 0, 2, 6, 4)),
+        (star_graph(5), (3, 5, 0, 1, 7, 6)),
+    ],
+    ids=["paper_figure1", "cycle6", "star5"],
+)
+def test_pinned_labels(graph, expected):
+    """Exact L(2,1) labels: the select pass's first fit must not drift."""
+    assert approx_labeling(graph, L21).labeling.labels == expected

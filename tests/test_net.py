@@ -449,3 +449,23 @@ def test_cli_serve_drains_on_sigterm(tmp_path):
         if proc.poll() is None:
             proc.kill()
             proc.wait(timeout=30)
+
+
+def test_cli_serve_on_busy_port_fails_cleanly(capsys):
+    """A bind failure is one `error:` line and exit 2, no leaked service."""
+    import socket
+
+    from repro.cli import main
+
+    before = set(threading.enumerate())
+    with socket.socket() as busy:
+        busy.bind(("127.0.0.1", 0))
+        busy.listen()
+        port = busy.getsockname()[1]
+        code = main(["serve", "--port", str(port), "--workers", "1"])
+    assert code == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: [internal] ")
+    assert str(port) in err[0]
+    # the service built for the server was shut down: its threads are gone
+    assert set(threading.enumerate()) - before == set()

@@ -568,21 +568,20 @@ def _pool_owner():
 
     from repro.errors import WorkerCrashedError
     from repro.graphs import generators as gen
-    from repro.graphs.analysis import export_buffers, get_analysis
+    from repro.graphs.analysis import get_analysis
     from repro.labeling.spec import L21
     from repro.parallel.pool import WorkerPool
     from repro.service.api import solve_buffers
 
-    buffers = export_buffers(
-        get_analysis(gen.random_graph_with_diameter_at_most(8, 2, seed=1))
-    )
+    graph = gen.random_graph_with_diameter_at_most(8, 2, seed=1)
+    buffers = (tuple(graph.edges()), get_analysis(graph).distances)
     with WorkerPool(2, start_method="fork") as pool:
         pool.wait_ready()
         for i in range(2):
-            pool.call(solve_buffers, buffers, L21.p, "nearest_neighbor")
+            pool.call(solve_buffers, *buffers, L21.p, "nearest_neighbor")
         os.kill(pool.worker_pids()[0], signal.SIGKILL)
         with contextlib.suppress(WorkerCrashedError):
-            pool.call(solve_buffers, buffers, L21.p, "nearest_neighbor")
+            pool.call(solve_buffers, *buffers, L21.p, "nearest_neighbor")
     assert pool.restart_count == 1
     series = {
         "restarts": ("repro_pool_worker_restarts_total", {}),

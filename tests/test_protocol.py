@@ -6,6 +6,7 @@ behaviour on malformed payloads, and the consolidated error table in
 :mod:`repro.errors`.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -77,7 +78,10 @@ def test_request_roundtrip_property(n, edge_bits, p, engine, tag):
     assert back.graph == req.graph
     assert back.spec == req.spec
     assert back.engine == req.engine and back.tag == req.tag
-    assert back.analysis is None  # the oracle never crosses the wire
+    # every field crosses the wire: graph as n + edges, spec as p
+    fields = {f.name for f in dataclasses.fields(SolveRequest)}
+    wire = (fields - {"graph", "spec"}) | {"n", "edges", "p"}
+    assert wire == set(req.to_json())
 
 
 @settings(max_examples=40, deadline=None)

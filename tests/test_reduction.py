@@ -16,7 +16,7 @@ from repro.graphs.graph import Graph
 from repro.labeling.exact import exact_span
 from repro.labeling.spec import L11, L21, LpSpec
 from repro.reduction.from_tour import labeling_from_order, span_for_order
-from repro.reduction.solver import LpTspSolver, solve_labeling
+from repro.reduction.solver import solve_labeling
 from repro.reduction.to_tsp import reduce_to_path_tsp
 from repro.reduction.validation import analyze, check_applicable, is_applicable
 
@@ -194,11 +194,6 @@ class TestSolverFacade:
             gen.random_graph_with_diameter_at_most(25, 2, seed=1), L21, engine="auto"
         )
         assert big.engine == "lk" and not big.exact
-
-    def test_solver_class(self):
-        solver = LpTspSolver(L21, engine="held_karp")
-        assert solver.span(gen.cycle_graph(5)) == 4
-        assert solver.solve(gen.complete_graph(4)).span == 6
 
     def test_known_spans_via_pipeline(self):
         # closed-form families, solved through the TSP pipeline

@@ -3,8 +3,8 @@
 The invariants under test:
 
 - **equivalence**: a pool call of :func:`solve_buffers` returns exactly
-  the inline labeling — the canonical arrays travel through the worker's
-  pipe, the graph never does;
+  the inline labeling — the edge list and distance matrix travel through
+  the worker's pipe, the graph never does;
 - **no shared memory**: a pooled server leaves ``/dev/shm`` untouched
   while it runs;
 - **no hangs**: a worker SIGKILLed mid-solve makes its call raise
@@ -25,7 +25,7 @@ import pytest
 
 from repro.errors import ReproError, WorkerCrashedError
 from repro.graphs import generators as gen
-from repro.graphs.analysis import export_buffers, get_analysis
+from repro.graphs.analysis import get_analysis
 from repro.labeling.spec import LpSpec
 from repro.parallel.pool import WorkerPool
 from repro.reduction.solver import solve_labeling
@@ -55,8 +55,8 @@ def small_graph(seed: int = 7):
 
 
 def buffers_of(graph):
-    """The arrays a pool call ships for ``graph``."""
-    return export_buffers(get_analysis(graph))
+    """The ``(edges, distances)`` pair a pool call ships for ``graph``."""
+    return tuple(graph.edges()), get_analysis(graph).distances
 
 
 def pooled_service(monkeypatch):
@@ -141,7 +141,7 @@ class TestWorkerPool:
         with WorkerPool(2, start_method=start_method) as pool:
             pool.wait_ready()
             entry, seconds = pool.call(
-                solve_buffers, buffers_of(small_graph()), SPEC, ENGINE
+                solve_buffers, *buffers_of(small_graph()), SPEC, ENGINE
             )
         assert entry.span == inline.span
         assert entry.labels == inline.labeling.labels
@@ -154,7 +154,7 @@ class TestWorkerPool:
             pool.wait_ready()
             for i in range(4):
                 buffers = buffers_of(small_graph(seed=i))
-                pool.call(solve_buffers, buffers, SPEC, ENGINE)
+                pool.call(solve_buffers, *buffers, SPEC, ENGINE)
             # sequential calls rotate the workers
             assert pool.dispatch_counts() == [2, 2]
             assert pool.route_imbalance() == pytest.approx(1.0)
@@ -164,13 +164,13 @@ class TestWorkerPool:
         pool.shutdown()
         pool.shutdown()  # idempotent
         with pytest.raises(ReproError, match="shut down"):
-            pool.call(solve_buffers, buffers_of(small_graph()), SPEC, ENGINE)
+            pool.call(solve_buffers, *buffers_of(small_graph()), SPEC, ENGINE)
 
     def test_pool_starts_no_thread(self, start_method):
         before = set(threading.enumerate())
         with WorkerPool(2, start_method=start_method) as pool:
             pool.wait_ready()
-            pool.call(solve_buffers, buffers_of(small_graph()), SPEC, ENGINE)
+            pool.call(solve_buffers, *buffers_of(small_graph()), SPEC, ENGINE)
             assert set(threading.enumerate()) - before == set()
 
     def test_worker_error_reraises_and_worker_survives(self, start_method):
@@ -179,11 +179,11 @@ class TestWorkerPool:
             pool.wait_ready()
             pid = pool.worker_pids()[0]
             with pytest.raises(ReproError, match="unknown engine"):
-                pool.call(solve_buffers, buffers, SPEC, "no_such_engine")
+                pool.call(solve_buffers, *buffers, SPEC, "no_such_engine")
             # the failure was the solve's, not the worker's
             assert pool.worker_pids() == [pid]
             assert pool.restart_count == 0
-            entry, _ = pool.call(solve_buffers, buffers, SPEC, ENGINE)
+            entry, _ = pool.call(solve_buffers, *buffers, SPEC, ENGINE)
             assert entry.span >= 0
 
 
@@ -199,7 +199,7 @@ class TestWorkerDeath:
         with WorkerPool(2, start_method="fork") as pool:
             pool.wait_ready()
             calls = [
-                Call(lambda: pool.call(solve_buffers, slow, SPEC, SLOW_ENGINE))
+                Call(lambda: pool.call(solve_buffers, *slow, SPEC, SLOW_ENGINE))
                 for _ in range(2)
             ]
             wait_dispatched(pool, 2)
@@ -210,7 +210,7 @@ class TestWorkerDeath:
             assert pool.restart_count == 2
             # the respawned workers serve again, no retry needed
             for _ in range(2):
-                entry, _ = pool.call(solve_buffers, small, SPEC, ENGINE)
+                entry, _ = pool.call(solve_buffers, *small, SPEC, ENGINE)
                 assert entry.span >= 0
         delta = (
             REGISTRY.value("repro_pool_worker_restarts_total")
@@ -227,7 +227,7 @@ class TestWorkerDeath:
                 dispatched = sum(pool.dispatch_counts())
                 calls = [
                     Call(lambda: pool.call(
-                        solve_buffers, buffers, SPEC, SLOW_ENGINE
+                        solve_buffers, *buffers, SPEC, SLOW_ENGINE
                     ))
                     for _ in range(4)
                 ]
@@ -244,11 +244,11 @@ class TestWorkerDeath:
         buffers = buffers_of(small_graph())
         with WorkerPool(1, start_method="fork") as pool:
             pool.wait_ready()
-            pool.call(solve_buffers, buffers, SPEC, ENGINE)
+            pool.call(solve_buffers, *buffers, SPEC, ENGINE)
             pid = pool.worker_pids()[0]
             os.kill(pid, signal.SIGKILL)
             wait_dead(pid)
-            entry, _ = pool.call(solve_buffers, buffers, SPEC, ENGINE)
+            entry, _ = pool.call(solve_buffers, *buffers, SPEC, ENGINE)
             assert entry.span >= 0
             assert pool.restart_count == 1
             assert pool.worker_pids()[0] != pid
@@ -257,7 +257,7 @@ class TestWorkerDeath:
         slow = buffers_of(slow_graph())
         pool = WorkerPool(1, start_method="fork")
         pool.wait_ready()
-        call = Call(lambda: pool.call(solve_buffers, slow, SPEC, SLOW_ENGINE))
+        call = Call(lambda: pool.call(solve_buffers, *slow, SPEC, SLOW_ENGINE))
         wait_dispatched(pool, 1)
         t0 = time.monotonic()
         pool.shutdown()
@@ -282,7 +282,7 @@ def test_unpicklable_worker_error_arrives_as_repro_error(monkeypatch):
     with WorkerPool(1, start_method="fork") as pool:
         pool.wait_ready()
         with pytest.raises(ReproError, match="worker solve failed.*blew up") as err:
-            pool.call(solve_buffers, buffers_of(small_graph()), SPEC, ENGINE)
+            pool.call(solve_buffers, *buffers_of(small_graph()), SPEC, ENGINE)
         assert type(err.value) is ReproError
         assert pool.restart_count == 0
 
