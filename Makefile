@@ -19,8 +19,10 @@ bench:
 # assertion-only pass over the oracle + dynamic-engine + serving
 # benchmarks (fast enough for CI): bit-identical matrices, APSP-once,
 # zero-APSP sessions, no duplicate solves under concurrency, worker-pool
-# serial equivalence + no-graph-pickling, and the E11 service-cache hit
-# rates.  Wall-clock floors (the E13 >=3x churn win, the E14/E15 >=2x
+# serial equivalence + no-graph-pickling, the E11 service-cache hit
+# rates, and the TSP engine layer's checks (E4 Held–Karp, E5
+# approximation ratios, E7 heuristic engines, the LK and matching
+# ablations).  Wall-clock floors (the E13 >=3x churn win, the E14/E15 >=2x
 # worker scaling, E11's <=25% batch wall in `test_experiment_passes`) are
 # deselected here — timing asserts belong to the calibrated perf gate,
 # the timed `make bench` tier and the CI pool-scaling job, not the
@@ -35,6 +37,11 @@ bench-quick:
 		-k "not speedup and not large2048"
 	$(PYTHON) -m pytest benchmarks/bench_e11_service_cache.py -q \
 		--benchmark-disable -k "not experiment_passes"
+	$(PYTHON) -m pytest benchmarks/bench_e4_held_karp.py \
+		benchmarks/bench_e5_approx_ratio.py \
+		benchmarks/bench_e7_heuristic_engines.py \
+		benchmarks/bench_ablation_lk.py \
+		benchmarks/bench_ablation_matching.py -q --benchmark-disable
 
 # line-coverage gate: measured ~95% at the time of pinning; the floor sits
 # a few points under so noise in line accounting never flakes the CI

@@ -23,6 +23,7 @@ from repro.errors import (
     DisconnectedGraphError,
     ReductionNotApplicableError,
     InfeasibleInstanceError,
+    InstanceTooLargeError,
     SolverError,
     NotMetricError,
     RequestValidationError,
@@ -116,6 +117,7 @@ __all__ = [
     "DisconnectedGraphError",
     "ReductionNotApplicableError",
     "InfeasibleInstanceError",
+    "InstanceTooLargeError",
     "SolverError",
     "NotMetricError",
     "RequestValidationError",

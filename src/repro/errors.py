@@ -36,6 +36,16 @@ class SolverError(ReproError):
     """An engine failed to produce a valid solution."""
 
 
+class InstanceTooLargeError(ReproError):
+    """An instance exceeds the size cap of the engine the caller chose.
+
+    The exact engines refuse work they cannot finish: Held–Karp's table
+    grows as ``2^n n`` and branch-and-bound's DFS factorially.  The cap is
+    a property of the chosen engine, not a server fault, so the wire maps
+    it to HTTP 422; the message names the engine, ``n`` and the cap.
+    """
+
+
 class NotMetricError(ReproError):
     """A TSP instance violated the triangle inequality where one was required."""
 
@@ -94,6 +104,7 @@ ERROR_TABLE: dict[type, tuple[str, int]] = {
     DisconnectedGraphError: ("disconnected_graph", 400),
     ReductionNotApplicableError: ("not_applicable", 422),
     InfeasibleInstanceError: ("infeasible_instance", 422),
+    InstanceTooLargeError: ("too_large", 422),
     SolverError: ("solver_error", 500),
     NotMetricError: ("not_metric", 500),
     ServiceClosedError: ("service_closed", 503),

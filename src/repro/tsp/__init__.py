@@ -4,14 +4,23 @@ The paper reduces ``L(p)``-labeling to METRIC PATH TSP and then leans on the
 TSP literature.  This subpackage is that literature in miniature, implemented
 from scratch:
 
-* exact: Held–Karp dynamic programming (``O(2^n n^2)``), branch-and-bound;
+* exact: Held–Karp dynamic programming (``O(2^n n^2)``, n <= 20),
+  branch-and-bound (n <= 16); past its cap each raises
+  :class:`~repro.errors.InstanceTooLargeError`;
 * guaranteed approximations: Christofides (cycle, 1.5), Hoogeveen (path with
   free endpoints, 1.5), double-tree (2);
 * heuristics: nearest-neighbour, greedy-edge, insertion constructions, 2-opt,
   Or-opt, 3-opt local search, and an LK-style iterated local search standing
   in for LKH/Concorde (the substitution ARCHITECTURE.md notes);
-* support: dense Prim MST, minimum-weight perfect matching (exact bitmask DP
-  plus heuristic), Eulerian trails with shortcutting.
+* support: one dense Prim MST kernel (also the ``MST <= OPT_path`` lower
+  bound), minimum-weight perfect matching (exact bitmask DP plus
+  heuristic), Eulerian trails with shortcutting.
+
+Each engine has one configuration: schedules, round caps and segment
+lengths are module constants, and the metric check of the guaranteed
+approximations always runs.  The parameters left are the LK kick count,
+seed and warm start, the nearest-neighbour start vertex, the annealing
+seed and the matching's exact-size cutoff.
 """
 
 from repro.tsp.instance import TSPInstance
@@ -34,7 +43,6 @@ from repro.tsp.christofides import christofides_cycle
 from repro.tsp.hoogeveen import hoogeveen_path
 from repro.tsp.double_tree import double_tree_cycle, double_tree_path
 from repro.tsp.annealing import simulated_annealing_path
-from repro.tsp.lower_bounds import one_tree_bound, certified_gap
 from repro.tsp.portfolio import ENGINES, get_engine, solve_path
 from repro.tsp import tsplib
 
@@ -68,7 +76,5 @@ __all__ = [
     "get_engine",
     "solve_path",
     "simulated_annealing_path",
-    "one_tree_bound",
-    "certified_gap",
     "tsplib",
 ]

@@ -7,7 +7,10 @@ cooling schedule.  On the reduction's small-range metrics (all weights in
 annealing's uphill moves pay off relative to strict descent.
 
 Deterministic for a fixed seed; registered as ``"anneal"`` in the engine
-portfolio.
+portfolio.  The schedule is fixed: start from the nearest-neighbour path,
+start hot at the mean edge weight, run ``4n`` proposals per temperature,
+cool by :data:`COOLING` per step and stop below :data:`FINAL_TEMP_RATIO`
+of the starting temperature.
 """
 
 from __future__ import annotations
@@ -19,22 +22,20 @@ from repro.tsp.instance import TSPInstance
 from repro.tsp.local_search import two_opt_path
 from repro.tsp.tour import HamPath
 
+#: geometric cooling factor applied after each temperature step
+COOLING = 0.995
+
+#: annealing stops once the temperature falls below this share of the start
+FINAL_TEMP_RATIO = 1e-3
+
 
 def simulated_annealing_path(
-    instance: TSPInstance,
-    seed: int | np.random.Generator | None = 0,
-    start: HamPath | None = None,
-    initial_temp: float | None = None,
-    cooling: float = 0.995,
-    steps_per_temp: int | None = None,
-    min_temp_ratio: float = 1e-3,
+    instance: TSPInstance, seed: int | np.random.Generator | None = 0
 ) -> HamPath:
     """Annealed path search; finishes with one 2-opt descent (polish).
 
-    Parameters tune the classic geometric schedule.  ``initial_temp``
-    defaults to the mean edge weight (accepts most early uphill moves);
-    annealing stops when the temperature falls below
-    ``min_temp_ratio * initial_temp``.
+    Runs the module's fixed schedule; starting at the mean edge weight, it
+    accepts most early uphill moves.
 
     >>> inst = TSPInstance.random_metric(10, seed=1)
     >>> p = simulated_annealing_path(inst, seed=0)
@@ -48,16 +49,14 @@ def simulated_annealing_path(
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     w = instance.weights
 
-    cur = list((start or nearest_neighbor_path(instance, 0)).order)
+    cur = list(nearest_neighbor_path(instance, 0).order)
     cur_len = instance.path_length(cur)
     best = list(cur)
     best_len = cur_len
 
-    temp = initial_temp if initial_temp is not None else float(
-        w[~np.eye(n, dtype=bool)].mean()
-    )
-    floor = temp * min_temp_ratio
-    steps = steps_per_temp if steps_per_temp is not None else 4 * n
+    temp = float(w[~np.eye(n, dtype=bool)].mean())
+    floor = temp * FINAL_TEMP_RATIO
+    steps = 4 * n
 
     def delta_two_opt(i: int, j: int) -> float:
         """Cost change of reversing cur[i..j] (path objective)."""
@@ -79,7 +78,7 @@ def simulated_annealing_path(
                 if cur_len < best_len - 1e-12:
                     best_len = cur_len
                     best = list(cur)
-        temp *= cooling
+        temp *= COOLING
 
     polished = two_opt_path(instance, HamPath.from_order(instance, best))
     return polished

@@ -11,24 +11,28 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import InstanceTooLargeError
 from repro.tsp.instance import TSPInstance
 from repro.tsp.lin_kernighan import lk_style_path
+from repro.tsp.mst import dense_prim
 from repro.tsp.tour import HamPath
 
 #: guard: DFS node counts explode factorially without the bound's help
 MAX_BNB_N = 16
 
 
-def branch_and_bound_path(instance: TSPInstance, max_n: int = MAX_BNB_N) -> HamPath:
+def branch_and_bound_path(instance: TSPInstance) -> HamPath:
     """Exact minimum Hamiltonian path via DFS branch-and-bound.
 
     Seeds the incumbent with the LK-style heuristic so pruning starts strong.
+    Refuses instances past :data:`MAX_BNB_N` with
+    :class:`~repro.errors.InstanceTooLargeError`.
     """
     n = instance.n
-    if n > max_n:
-        raise ReproError(
-            f"branch-and-bound capped at n={max_n} (got {n}); use held_karp_path"
+    if n > MAX_BNB_N:
+        raise InstanceTooLargeError(
+            f"engine 'branch_bound' is capped at n={MAX_BNB_N} (got n={n}); "
+            "use engine 'lk' or 'auto'"
         )
     if n == 0:
         return HamPath((), 0.0)
@@ -45,25 +49,8 @@ def branch_and_bound_path(instance: TSPInstance, max_n: int = MAX_BNB_N) -> HamP
 
     def mst_bound(cur: int) -> float:
         """MST weight of {cur} + unvisited — dense Prim on the submatrix."""
-        nodes = np.flatnonzero(~visited)
-        if len(nodes) == 0:
-            return 0.0
-        nodes = np.concatenate(([cur], nodes))
-        sub = w[np.ix_(nodes, nodes)]
-        k = len(nodes)
-        in_tree = np.zeros(k, dtype=bool)
-        key = sub[0].copy()
-        in_tree[0] = True
-        key[0] = np.inf
-        total = 0.0
-        for _ in range(k - 1):
-            v = int(np.argmin(key))
-            total += float(key[v])
-            in_tree[v] = True
-            key[v] = np.inf
-            better = (sub[v] < key) & ~in_tree
-            key[better] = sub[v][better]
-        return total
+        nodes = np.concatenate(([cur], np.flatnonzero(~visited)))
+        return dense_prim(w[np.ix_(nodes, nodes)])[1]
 
     def dfs(depth: int, cur: int, length: float) -> None:
         """Extend the partial path at ``cur``, pruning on the MST bound."""

@@ -15,16 +15,18 @@ from repro.tsp.mst import prim_mst
 from repro.tsp.tour import Tour
 
 
-def christofides_cycle(instance: TSPInstance, require_metric: bool = True) -> Tour:
-    """A closed tour of weight at most 1.5x the optimal tour (metric inputs).
+def christofides_cycle(instance: TSPInstance) -> Tour:
+    """A closed tour of weight at most 1.5x the optimal tour.
+
+    Checks the triangle inequality first (the guarantee needs it) and
+    raises :class:`~repro.errors.NotMetricError` when it fails.
 
     >>> inst = TSPInstance.random_metric(8, seed=1)
     >>> tour = christofides_cycle(inst)
     >>> sorted(tour.order) == list(range(8))
     True
     """
-    if require_metric:
-        instance.require_metric()
+    instance.require_metric()
     n = instance.n
     if n <= 1:
         return Tour(tuple(range(n)), 0.0)

@@ -14,10 +14,12 @@ from repro.tsp.mst import prim_mst
 from repro.tsp.tour import HamPath, Tour
 
 
-def double_tree_cycle(instance: TSPInstance, require_metric: bool = True) -> Tour:
-    """Closed tour of weight <= 2x optimal on metric instances."""
-    if require_metric:
-        instance.require_metric()
+def double_tree_cycle(instance: TSPInstance) -> Tour:
+    """Closed tour of weight <= 2x optimal.
+
+    Raises ``NotMetricError`` when the triangle inequality fails.
+    """
+    instance.require_metric()
     n = instance.n
     if n <= 1:
         return Tour(tuple(range(n)), 0.0)
@@ -29,15 +31,15 @@ def double_tree_cycle(instance: TSPInstance, require_metric: bool = True) -> Tou
     return Tour.from_order(instance, order)
 
 
-def double_tree_path(instance: TSPInstance, require_metric: bool = True) -> HamPath:
+def double_tree_path(instance: TSPInstance) -> HamPath:
     """Hamiltonian path of weight <= 2x the optimal path on metric instances.
 
     A DFS preorder of the MST, i.e. the doubled-tree walk with shortcuts;
     its length is bounded by twice the MST weight, and the MST lower-bounds
-    the optimal Hamiltonian path.
+    the optimal Hamiltonian path.  Raises ``NotMetricError`` when the
+    triangle inequality fails.
     """
-    if require_metric:
-        instance.require_metric()
+    instance.require_metric()
     n = instance.n
     if n <= 1:
         return HamPath(tuple(range(n)), 0.0)

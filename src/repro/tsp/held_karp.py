@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import InstanceTooLargeError
 from repro.tsp.instance import TSPInstance
 from repro.tsp.tour import HamPath, Tour
 
@@ -23,19 +23,20 @@ from repro.tsp.tour import HamPath, Tour
 MAX_EXACT_N = 20
 
 
-def _check_size(n: int, max_n: int) -> None:
+def _check_size(n: int) -> None:
     """Refuse instances beyond the DP's practical size limit."""
-    if n > max_n:
-        raise ReproError(
-            f"Held-Karp needs 2^n*n memory; n={n} exceeds the configured cap "
-            f"{max_n} (raise max_n explicitly if you really mean it)"
+    if n > MAX_EXACT_N:
+        raise InstanceTooLargeError(
+            f"engine 'held_karp' is capped at n={MAX_EXACT_N} (got n={n}): "
+            "its table needs 2^n*n doubles; use engine 'lk' or 'auto'"
         )
 
 
-def held_karp_path(instance: TSPInstance, max_n: int = MAX_EXACT_N) -> HamPath:
+def held_karp_path(instance: TSPInstance) -> HamPath:
     """Exact minimum-weight Hamiltonian path, both endpoints free.
 
-    Runs in ``O(2^n n^2)`` time and ``O(2^n n)`` space.
+    Runs in ``O(2^n n^2)`` time and ``O(2^n n)`` space.  Refuses instances
+    past :data:`MAX_EXACT_N` with :class:`~repro.errors.InstanceTooLargeError`.
 
     >>> inst = TSPInstance.random_metric(6, seed=0)
     >>> p = held_karp_path(inst)
@@ -47,7 +48,7 @@ def held_karp_path(instance: TSPInstance, max_n: int = MAX_EXACT_N) -> HamPath:
         return HamPath((), 0.0)
     if n == 1:
         return HamPath((0,), 0.0)
-    _check_size(n, max_n)
+    _check_size(n)
 
     w = instance.weights
     full = (1 << n) - 1
@@ -74,7 +75,7 @@ def held_karp_path(instance: TSPInstance, max_n: int = MAX_EXACT_N) -> HamPath:
     return HamPath(tuple(order), length)
 
 
-def held_karp_cycle(instance: TSPInstance, max_n: int = MAX_EXACT_N) -> Tour:
+def held_karp_cycle(instance: TSPInstance) -> Tour:
     """Exact minimum-weight closed tour (classic Held–Karp, anchored at 0)."""
     n = instance.n
     if n == 0:
@@ -83,7 +84,7 @@ def held_karp_cycle(instance: TSPInstance, max_n: int = MAX_EXACT_N) -> Tour:
         return Tour((0,), 0.0)
     if n == 2:
         return Tour((0, 1), 2.0 * instance.weight(0, 1))
-    _check_size(n, max_n)
+    _check_size(n)
 
     w = instance.weights
     full = (1 << n) - 1

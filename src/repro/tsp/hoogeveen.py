@@ -26,16 +26,18 @@ from repro.tsp.mst import prim_mst
 from repro.tsp.tour import HamPath
 
 
-def hoogeveen_path(instance: TSPInstance, require_metric: bool = True) -> HamPath:
-    """A Hamiltonian path of weight <= 1.5x optimal (metric instances).
+def hoogeveen_path(instance: TSPInstance) -> HamPath:
+    """A Hamiltonian path of weight <= 1.5x optimal.
+
+    Checks the triangle inequality first (the guarantee needs it) and
+    raises :class:`~repro.errors.NotMetricError` when it fails.
 
     >>> inst = TSPInstance.random_metric(8, seed=1)
     >>> path = hoogeveen_path(inst)
     >>> sorted(path.order) == list(range(8))
     True
     """
-    if require_metric:
-        instance.require_metric()
+    instance.require_metric()
     n = instance.n
     if n <= 1:
         return HamPath(tuple(range(n)), 0.0)

@@ -16,10 +16,14 @@ from repro.tsp.tour import HamPath
 
 _EPS = 1e-10
 
+#: safety cap on improvement rounds; every round strictly shortens the path
+MAX_ROUNDS = 10_000
 
-def two_opt_path(
-    instance: TSPInstance, start: HamPath, max_rounds: int = 10_000
-) -> HamPath:
+#: segment lengths Or-opt relocates, tried shortest first
+OR_OPT_SEGMENTS = (1, 2, 3)
+
+
+def two_opt_path(instance: TSPInstance, start: HamPath) -> HamPath:
     """Best-improvement 2-opt on a Hamiltonian path.
 
     Repeatedly applies the single best segment reversal until no reversal
@@ -31,7 +35,7 @@ def two_opt_path(
     w = instance.weights
     o = np.asarray(start.order, dtype=np.intp)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         best_delta, move = _best_two_opt_move(w, o)
         if best_delta >= -_EPS:
             break
@@ -80,16 +84,11 @@ def _best_two_opt_move(w: np.ndarray, o: np.ndarray) -> tuple[float, tuple[int, 
     return best_delta, best_move
 
 
-def or_opt_path(
-    instance: TSPInstance,
-    start: HamPath,
-    segment_lengths: tuple[int, ...] = (1, 2, 3),
-    max_rounds: int = 10_000,
-) -> HamPath:
+def or_opt_path(instance: TSPInstance, start: HamPath) -> HamPath:
     """Or-opt: relocate short segments (optionally reversed) along the path.
 
-    First-improvement sweeps over segment lengths 1..3; loops until a full
-    sweep finds nothing.
+    First-improvement sweeps over the :data:`OR_OPT_SEGMENTS` lengths 1..3;
+    loops until a full sweep finds nothing.
     """
     n = instance.n
     if n <= 2:
@@ -97,9 +96,9 @@ def or_opt_path(
     w = instance.weights
     order = list(start.order)
 
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         improved = False
-        for seg_len in segment_lengths:
+        for seg_len in OR_OPT_SEGMENTS:
             if seg_len >= n:
                 continue
             move = _first_or_opt_move(w, order, seg_len)
@@ -158,9 +157,7 @@ def _first_or_opt_move(w: np.ndarray, order: list[int], L: int) -> list[int] | N
     return None
 
 
-def three_opt_path(
-    instance: TSPInstance, start: HamPath, max_rounds: int = 10_000
-) -> HamPath:
+def three_opt_path(instance: TSPInstance, start: HamPath) -> HamPath:
     """3-opt-lite: alternate best-improvement 2-opt and Or-opt to a joint optimum.
 
     Segment relocation (Or-opt) plus segment reversal (2-opt) covers the
@@ -169,7 +166,7 @@ def three_opt_path(
     classic name so engine tables read naturally.
     """
     cur = start
-    for _ in range(max_rounds):
+    for _ in range(MAX_ROUNDS):
         improved = two_opt_path(instance, cur)
         improved = or_opt_path(instance, improved)
         if improved.length >= cur.length - _EPS:

@@ -24,7 +24,6 @@ MODULES = [
     "repro.tsp.hoogeveen",
     "repro.tsp.lin_kernighan",
     "repro.tsp.annealing",
-    "repro.tsp.lower_bounds",
     "repro.reduction.to_tsp",
     "repro.reduction.from_tour",
     "repro.reduction.solver",

@@ -1,5 +1,5 @@
-"""Tests for the extension modules: trees, layer DP, 1-tree bound, stats,
-bipartite matching.
+"""Tests for the extension modules: trees, layer DP, stats, bipartite
+matching.
 """
 
 import networkx as nx
@@ -20,10 +20,6 @@ from repro.labeling.exact import exact_span
 from repro.labeling.layer_dp import l21_layer_dp_span
 from repro.labeling.spec import L21
 from repro.labeling.trees import is_tree, l21_tree_labeling, l21_tree_span
-from repro.tsp.held_karp import held_karp_cycle, held_karp_path
-from repro.tsp.instance import TSPInstance
-from repro.tsp.lower_bounds import certified_gap, one_tree_bound
-from repro.tsp.mst import mst_weight
 
 
 class TestBipartiteMatching:
@@ -134,46 +130,6 @@ class TestLayerDP:
         # unlike the TSP route, the layer DP handles any graph
         g = Graph(4, [(0, 1), (2, 3)])
         assert l21_layer_dp_span(g) == exact_span(g, L21)
-
-
-class TestOneTreeBound:
-    def test_lower_bounds_cycle(self):
-        for seed in range(6):
-            inst = TSPInstance.random_metric(9, seed=seed)
-            opt = held_karp_cycle(inst).length
-            lb = one_tree_bound(inst)
-            assert lb <= opt + 1e-9
-
-    def test_overshoots_the_path_optimum(self):
-        # a cycle bound, not a path certificate: on every seed it exceeds
-        # the optimal Hamiltonian path
-        for seed in range(10):
-            inst = TSPInstance.random_metric(8, seed=seed)
-            assert one_tree_bound(inst) > held_karp_path(inst).length
-        inst = TSPInstance.random_metric(8, seed=0)
-        assert one_tree_bound(inst) == pytest.approx(3.169, abs=1e-3)
-        assert held_karp_path(inst).length == pytest.approx(2.096, abs=1e-3)
-
-    def test_tighter_than_mst(self):
-        tighter = 0
-        for seed in range(6):
-            inst = TSPInstance.random_metric(10, seed=seed)
-            if one_tree_bound(inst) >= mst_weight(inst) - 1e-9:
-                tighter += 1
-        assert tighter == 6  # 1-tree with ascent should never lose to MST
-
-    def test_trivial_sizes(self):
-        inst = TSPInstance(np.zeros((2, 2)))
-        assert one_tree_bound(inst) == 0.0
-
-    def test_certified_gap(self):
-        from repro.tsp.lin_kernighan import lk_style_path
-        inst = TSPInstance.random_metric(12, seed=0)
-        path = lk_style_path(inst, kicks=10, seed=0)
-        gap = certified_gap(inst, path.length)
-        assert gap >= 1.0
-        # LK on small Euclidean instances: certificate should be modest
-        assert gap <= 2.0
 
 
 class TestStats:

@@ -178,6 +178,21 @@ def test_inapplicable_instance_maps_to_422():
         assert json.loads(err.value.read())["code"] == "not_applicable"
 
 
+@pytest.mark.parametrize("engine,leaves", [("held_karp", 21), ("branch_bound", 17)])
+def test_engine_size_cap_maps_to_422(engine, leaves):
+    # the cap belongs to the engine the client chose: not a server fault
+    body = json.dumps(SolveRequest(
+        gen.star_graph(leaves), L21, engine=engine, tier="exact"
+    ).to_json()).encode()
+    with make_server() as server:
+        with pytest.raises(urllib.error.HTTPError) as err:
+            post(server.url, "/solve", body)
+        assert err.value.code == 422
+        payload = json.loads(err.value.read())
+        assert payload["code"] == "too_large"
+        assert engine in payload["error"] and str(leaves + 1) in payload["error"]
+
+
 # ---------------------------------------------------------------------------
 # the NDJSON batch stream
 # ---------------------------------------------------------------------------

@@ -263,6 +263,18 @@ def test_cli_error_line_carries_code(capsys, tmp_path):
     assert "error: [not_applicable]" in err
 
 
+def test_cli_engine_size_cap_is_too_large(capsys, tmp_path):
+    from repro.cli import main
+
+    path = tmp_path / "star21.edges"   # 22 vertices: past Held-Karp's cap
+    path.write_text("22 21\n" + "".join(f"0 {v}\n" for v in range(1, 22)))
+    code = main(["solve", str(path), "--engine", "held_karp"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: [too_large] ")
+    assert "'lk'" in err and "'auto'" in err
+
+
 # ---------------------------------------------------------------------------
 # the request object is the only submit form
 # ---------------------------------------------------------------------------

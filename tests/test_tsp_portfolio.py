@@ -1,10 +1,17 @@
-"""Engine registry tests: every engine valid, exact ones exact, names stable."""
+"""Engine registry tests: every engine valid, exact ones exact, names stable,
+outputs pinned."""
+
+import hashlib
 
 import pytest
 
 from repro.errors import ReproError
+from repro.graphs import generators as gen
+from repro.labeling.spec import L21
+from repro.reduction.to_tsp import reduce_to_path_tsp
 from repro.tsp.held_karp import held_karp_path
 from repro.tsp.instance import TSPInstance
+from repro.tsp.mst import mst_weight, prim_mst
 from repro.tsp.portfolio import (
     ENGINES,
     EXACT_ENGINES,
@@ -61,3 +68,34 @@ class TestRegistry:
             "best_nearest_neighbor",
         ]:
             assert name in ENGINES
+
+
+#: SHA-256 over every engine's path, plus the MST edges and weight, on
+#: ``_digest_instances()``.  Refactors and speed-ups of the engine layer
+#: must keep it: a changed digest means some engine returns a different
+#: path or length than before.
+ENGINE_OUTPUT_DIGEST = (
+    "09eaf270263e27db02084dd5f88ef883045093ae46091606dd35adef22f5413b"
+)
+
+
+def _digest_instances():
+    """Euclidean, two-valued and Theorem-2 reduction instances, all fixed."""
+    graph = gen.random_graph_with_diameter_at_most(12, 2, seed=3)
+    return [
+        TSPInstance.random_metric(10, seed=0),
+        TSPInstance.random_two_valued(12, 1.0, 2.0, seed=2),
+        reduce_to_path_tsp(graph, L21).instance,
+    ]
+
+
+def test_engine_outputs_are_pinned():
+    h = hashlib.sha256()
+    for inst in _digest_instances():
+        for name, engine in ENGINES.items():
+            p = engine(inst)
+            order = tuple(int(v) for v in p.order)
+            h.update(repr((name, order, float(p.length).hex())).encode())
+        mst = (prim_mst(inst), float(mst_weight(inst)).hex())
+        h.update(repr(mst).encode())
+    assert h.hexdigest() == ENGINE_OUTPUT_DIGEST
