@@ -20,10 +20,12 @@ bench:
 # benchmarks (fast enough for CI): bit-identical matrices, APSP-once,
 # zero-APSP sessions, no duplicate solves under concurrency, worker-pool
 # serial equivalence + no-graph-pickling, the E11 service-cache hit
-# rates, and the TSP engine layer's checks (E4 Held–Karp, E5
+# rates, the TSP engine layer's checks (E4 Held–Karp, E5
 # approximation ratios, E7 heuristic engines, the LK and matching
-# ablations).  Wall-clock floors (the E13 >=3x churn win, the E14/E15 >=2x
-# worker scaling, E11's <=25% batch wall in `test_experiment_passes`) are
+# ablations) and the structural experiments' checks (E2 Figure 2, E6
+# partition into paths, E8 coloring of G^k, which run modular-width and
+# neighborhood diversity).  Wall-clock floors (the E13 >=3x churn win,
+# the E14/E15 >=2x worker scaling, E11's <=25% batch wall in `test_experiment_passes`) are
 # deselected here — timing asserts belong to the calibrated perf gate,
 # the timed `make bench` tier and the CI pool-scaling job, not the
 # per-push correctness tier, where shared-runner noise would flake them.
@@ -41,7 +43,10 @@ bench-quick:
 		benchmarks/bench_e5_approx_ratio.py \
 		benchmarks/bench_e7_heuristic_engines.py \
 		benchmarks/bench_ablation_lk.py \
-		benchmarks/bench_ablation_matching.py -q --benchmark-disable
+		benchmarks/bench_ablation_matching.py \
+		benchmarks/bench_e2_fig2_partition.py \
+		benchmarks/bench_e6_partition_paths.py \
+		benchmarks/bench_e8_l1_coloring.py -q --benchmark-disable
 
 # line-coverage gate: measured ~95% at the time of pinning; the floor sits
 # a few points under so noise in line accounting never flakes the CI

@@ -1,8 +1,9 @@
 """E3 — Theorem 2: the O(nm) reduction, timed at three sizes.
 
 The paper's claim is about asymptotics; pytest-benchmark's per-size timings
-give the series EXPERIMENTS.md records (the growth between rows should track
-n*m, i.e. roughly cubically in n for dense diameter-2 graphs).
+give the series behind E3's table in the reproduction report (the growth
+between rows should track n*m, i.e. roughly cubically in n for dense
+diameter-2 graphs).
 """
 
 import pytest

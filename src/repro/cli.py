@@ -45,7 +45,7 @@ from pathlib import Path
 from repro.errors import ReproError, error_code
 from repro.graphs import io as gio
 from repro.graphs.analysis import get_analysis
-from repro.harness.experiments import ALL_EXPERIMENTS, main as run_experiments
+from repro.harness.experiments import ALL_EXPERIMENTS, render_report
 from repro.harness.workloads import WORKLOADS, make_workload
 from repro.labeling.spec import LpSpec
 from repro.reduction.solver import solve_labeling
@@ -255,13 +255,15 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
 
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
-    """``experiment``: run named E-suite experiments (default: all)."""
+    """``experiment``: run named E-suite experiments (default: all) and
+    print the markdown reproduction report; exit 1 if any check failed."""
     names = args.ids or list(ALL_EXPERIMENTS)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
     if unknown:
         print(f"unknown experiment ids: {unknown}; known: {list(ALL_EXPERIMENTS)}")
         return 2
-    results = run_experiments(names)
+    results = [ALL_EXPERIMENTS[name]() for name in names]
+    sys.stdout.write(render_report(results))
     return 0 if all(r.passed for r in results) else 1
 
 

@@ -18,6 +18,7 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
 from repro.graphs.operations import disjoint_union, join
+from repro.graphs.traversal import UNREACHABLE, distance_rows_dense
 
 
 @dataclass(frozen=True)
@@ -116,27 +117,56 @@ def random_connected_cograph(
     return join_node(left, right).to_graph()
 
 
+def _components(adj: np.ndarray) -> list[np.ndarray]:
+    """Connected components of a boolean adjacency matrix, as sorted index
+    arrays ordered by smallest member: one frontier expansion each."""
+    n = adj.shape[0]
+    unseen = np.ones(n, dtype=bool)
+    parts: list[np.ndarray] = []
+    while unseen.any():
+        seed = int(np.argmax(unseen))
+        row = distance_rows_dense(adj, np.array([seed]), dtype=np.int32)[0]
+        part = np.flatnonzero(row != UNREACHABLE)
+        unseen[part] = False
+        parts.append(part)
+    return parts
+
+
+def module_split(adj: np.ndarray) -> tuple[str, list[np.ndarray]]:
+    """The top split of the modular decomposition of a graph on >= 2 vertices.
+
+    ``adj`` is a boolean adjacency matrix.  Returns ``("union", components)``
+    when the graph is disconnected, ``("join", co-components)`` when the
+    graph of its non-edges is, and ``("prime", [])`` otherwise.  Parts are
+    sorted local index arrays ordered by their smallest member.  The one
+    union/join split of the package: :func:`is_cograph` and
+    :func:`repro.partition.modular.modular_decomposition` recurse on it.
+    """
+    parts = _components(adj)
+    if len(parts) > 1:
+        return "union", parts
+    co = ~adj
+    np.fill_diagonal(co, False)
+    parts = _components(co)
+    if len(parts) > 1:
+        return "join", parts
+    return "prime", []
+
+
 def is_cograph(graph: Graph) -> bool:
     """Cograph recognition: no induced ``P_4``.
 
-    Uses the characterization that ``G`` is a cograph iff every induced
-    subgraph on >= 2 vertices is disconnected or has disconnected complement
-    (checked recursively by splitting on components / co-components).  Runs in
-    polynomial time; fine for test-scale graphs.
+    ``G`` is a cograph iff every induced subgraph on >= 2 vertices splits
+    as a union or a join.  Recurses with :func:`module_split` on adjacency
+    submatrices (no ``Graph`` is built) and stops at the first prime node.
     """
-    from repro.graphs.operations import complement, induced_subgraph
-    from repro.graphs.traversal import connected_components
-
-    def rec(g: Graph) -> bool:
-        """Recursively check that every induced quotient is union/join."""
-        if g.n <= 2:
-            return True
-        comps = connected_components(g)
-        if len(comps) > 1:
-            return all(rec(induced_subgraph(g, c)) for c in comps)
-        co_comps = connected_components(complement(g))
-        if len(co_comps) > 1:
-            return all(rec(induced_subgraph(g, c)) for c in co_comps)
-        return False  # connected with connected complement => contains a P4
-
-    return rec(graph)
+    stack = [graph.adjacency_matrix()]
+    while stack:
+        adj = stack.pop()
+        if adj.shape[0] <= 2:
+            continue
+        kind, parts = module_split(adj)
+        if kind == "prime":
+            return False
+        stack.extend(adj[np.ix_(p, p)] for p in parts)
+    return True

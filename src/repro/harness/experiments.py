@@ -3,8 +3,8 @@
 Each ``eN_*`` function runs the experiment at a reproducible default scale
 and returns an :class:`ExperimentResult` with the table the paper's artefact
 corresponds to, plus pass/fail checks of the claim's *shape* (who wins, what
-bound holds, how the curve grows).  ``main()`` prints the whole suite — this
-is what EXPERIMENTS.md records.
+bound holds, how the curve grows).  :func:`render_report` turns results into
+the markdown reproduction report that ``repro-label experiment`` prints.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import numpy as np
 from repro.graphs import generators as gen
 from repro.graphs.operations import graph_power
 from repro.graphs.traversal import diameter
-from repro.harness.tables import render_table
+from repro.harness.tables import render_markdown
 from repro.harness.workloads import make_workload
 from repro.harness.runner import run_engines
 from repro.labeling.exact import exact_span
@@ -51,14 +51,125 @@ class ExperimentResult:
         return all(ok for _, ok in self.checks)
 
     def render(self) -> str:
-        """ASCII rendering: title, table, then one line per check."""
-        out = [f"== {self.exp_id}: {self.title} =="]
-        out.append(render_table(self.headers, self.rows))
+        """Markdown section: heading, paper context, table, one line per check."""
+        out = [f"## {self.exp_id} — {self.title}", ""]
+        if self.exp_id in CONTEXT:
+            artefact, shape = CONTEXT[self.exp_id]
+            out += [f"*Paper artefact:* {artefact}.", ""]
+            out += [f"*Expected shape:* {shape}.", ""]
+        out += [render_markdown(self.headers, self.rows), ""]
         for name, ok in self.checks:
-            out.append(f"  [{'PASS' if ok else 'FAIL'}] {name}")
+            out.append(f"- {'✅ PASS' if ok else '❌ FAIL'} — {name}")
         if self.notes:
-            out.append(f"  note: {self.notes}")
+            out.append(f"- note: {self.notes}")
         return "\n".join(out)
+
+
+#: per-experiment context: (paper artefact, expected shape)
+CONTEXT: dict[str, tuple[str, str]] = {
+    "E1": (
+        "Figure 1 — the reduction construction (diam-3 example, L(2,2,1))",
+        "weight matrix w(u,v) = p_dist; span == optimal Ham-path weight == "
+        "independent brute-force optimum",
+    ),
+    "E2": (
+        "Figure 2 — permutation runs A_pi/B_pi on a diam-2 graph",
+        "lambda(G, pi) = (n-1)p + (q-p)|B_pi|; optimal span via the "
+        "partition route equals the TSP route",
+    ),
+    "E3": (
+        "Theorem 2 — O(nm)-time reduction",
+        "exact agreement with brute force at small n; reduction time grows "
+        "smoothly with n (APSP-dominated)",
+    ),
+    "E4": (
+        "Corollary 1a — exact solution in O(2^n n^2) via Held-Karp",
+        "wall time roughly quadruples per +2 vertices (factor 2 per vertex)",
+    ),
+    "E5": (
+        "Corollary 1b — 1.5-approximation in polynomial time",
+        "Hoogeveen ratio <= 1.5 always; double-tree <= 2; Hoogeveen beats "
+        "double-tree on average",
+    ),
+    "E6": (
+        "Corollary 2 — diam-2 L(p,q) == PARTITION INTO PATHS (FPT in mw)",
+        "partition-route span == Held-Karp span on every trial; for L(2,1) "
+        "the partition lives on the complement (p > q)",
+    ),
+    "E7": (
+        "Practical claim — LKH/Concorde-class heuristics as engines",
+        "quality ladder NN < 2-opt < Or-opt <= 3-opt <= LK ~= exact, with "
+        "heuristics orders faster than Held-Karp",
+    ),
+    "E8": (
+        "Theorem 4 / Corollary 3 — L(1,..,1) via COLORING of G^k; "
+        "pmax-approximation",
+        "coloring route equals brute force; Cor.3 span <= pmax * OPT; "
+        "Prop.2 nd(G^2) <= mw(G) on all trials",
+    ),
+    "E9": (
+        "Theorems 1 & 3 — hardness gadgets",
+        "HC(G) <=> HP(gadget) and HP(G) <=> lambda_{2,1}(GY(G)) <= n+1, "
+        "exhaustively",
+    ),
+    "E10": (
+        "Extension — parallel engine portfolio",
+        "parallel best-of-K returns the sequential best span; speed-up is "
+        "machine-dependent",
+    ),
+    "E11": (
+        "Extension — batch labeling service with canonical-graph cache",
+        "isomorphic (relabeled) requests hit one cache entry; the 90%-dup "
+        "stream finishes in <= 25% of the no-cache wall time with spans "
+        "matching from-scratch solves",
+    ),
+}
+
+
+FOOTER = """\
+## Ablations (pytest-benchmark targets)
+
+Run with ``python -m pytest benchmarks/ --benchmark-only``; correctness
+checks in the same modules run under a plain ``pytest benchmarks/``.
+
+* **EA1 — chained-LK design** (`bench_ablation_lk.py`): on an n=90 diam-2
+  instance the quality ladder construction → 2-opt+Or-opt descent → kicked
+  descent is monotone in span; kicks=20 costs ~5-10x the bare descent.
+* **EA2 — matching engine** (`bench_ablation_matching.py`): the exact
+  bitmask-DP matching that backs the 1.5 guarantee costs orders more than
+  the greedy+2-exchange heuristic at odd-set size 16, while the heuristic
+  stays within ~25% weight on Euclidean data — the guarantee is what the
+  exact engine buys.
+* **EA3 — exact baselines** (`bench_ablation_baselines.py`): the TSP route,
+  the related-work layer DP and Chang–Kuo agree everywhere all are defined
+  (stars are trees of diameter 2, so all three apply); Chang–Kuo handles
+  60-vertex trees in milliseconds where both exponential routes are capped.
+
+## Reproduction findings
+
+Three documented deviations/clarifications from the paper:
+Corollary 2's inherited ``p_max <= 2 p_min`` condition (with a pinned
+counterexample for L(5,1)), the certified wheel closed form
+``λ_{2,1}(W_n) = n + 1`` for rim >= 5, and the Griggs–Yeh decision
+threshold ``n + 1`` used by the Theorem-3 equivalence.
+"""
+
+
+def render_report(results: Sequence[ExperimentResult]) -> str:
+    """The markdown reproduction report: summary, one section each, footer."""
+    passed = sum(r.passed for r in results)
+    out = [
+        "# Reproduction report",
+        "",
+        "Printed by `repro-label experiment`.  All workloads are seeded; "
+        "only wall-time columns vary between runs and machines.",
+        "",
+        f"**Summary: {passed}/{len(results)} experiments pass.**",
+        "",
+    ]
+    out += [r.render() + "\n" for r in results]
+    out.append(FOOTER)
+    return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -594,22 +705,3 @@ ALL_EXPERIMENTS: dict[str, Callable[[], ExperimentResult]] = {
     "E10": e10_parallel_portfolio,
     "E11": e11_service_cache,
 }
-
-
-def main(selected: list[str] | None = None) -> list[ExperimentResult]:
-    """Run (a subset of) the suite, print, and return the results."""
-    names = selected or list(ALL_EXPERIMENTS)
-    results = []
-    for name in names:
-        res = ALL_EXPERIMENTS[name]()
-        print(res.render())
-        print()
-        results.append(res)
-    failed = [r.exp_id for r in results if not r.passed]
-    print(f"{len(results) - len(failed)}/{len(results)} experiments passed"
-          + (f"; FAILED: {failed}" if failed else ""))
-    return results
-
-
-if __name__ == "__main__":
-    main()

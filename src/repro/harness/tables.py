@@ -1,8 +1,8 @@
 """Plain-text and markdown table rendering for experiment output.
 
 No plotting dependency: the paper's "figures" are reproduced as tables /
-series printed by the benchmark harness, which is what EXPERIMENTS.md
-records.
+series; the markdown form is what the reproduction report printed by
+``repro-label experiment`` is made of.
 """
 
 from __future__ import annotations
@@ -39,8 +39,8 @@ def render_table(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
 
 
 def render_markdown(headers: Sequence[str], rows: Sequence[Sequence[Any]]) -> str:
-    """GitHub-flavoured markdown table."""
-    cells = [[_fmt(c) for c in row] for row in rows]
+    """GitHub-flavoured markdown table (``|`` inside a cell is escaped)."""
+    cells = [[_fmt(c).replace("|", "\\|") for c in row] for row in rows]
     out = ["| " + " | ".join(headers) + " |"]
     out.append("|" + "|".join("---" for _ in headers) + "|")
     out.extend("| " + " | ".join(r) + " |" for r in cells)

@@ -1,7 +1,8 @@
 """Named, seeded workload generators for the benchmark experiments.
 
 Every workload is a deterministic function of ``(name, size, seed)``, so any
-number reported in EXPERIMENTS.md can be regenerated bit-for-bit.  The
+table of the reproduction report (``repro-label experiment``) can be
+regenerated bit-for-bit, wall times aside.  The
 families mirror the paper's setting: small-diameter graphs of varied density
 and structure, plus the radio-network geometric family from the motivation.
 """

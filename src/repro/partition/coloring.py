@@ -16,9 +16,13 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ReproError
+from repro.errors import InstanceTooLargeError
 from repro.graphs.graph import Graph
 from repro.graphs.operations import induced_subgraph
+from repro.partition.neighborhood_diversity import equal_row_groups
+
+#: Largest graph (or twin-quotient core) the exact coloring search accepts.
+MAX_COLORING_N = 40
 
 
 def greedy_coloring(graph: Graph, order: Sequence[int] | None = None) -> list[int]:
@@ -68,18 +72,23 @@ def is_proper_coloring(graph: Graph, colors: Sequence[int]) -> bool:
     return all(colors[u] != colors[v] for u, v in graph.edges())
 
 
-def chromatic_number_exact(graph: Graph, max_n: int = 40) -> tuple[int, list[int]]:
+def chromatic_number_exact(graph: Graph) -> tuple[int, list[int]]:
     """Exact ``χ(G)`` with a witness, by DSATUR-seeded branch and bound.
 
     Searches k-colorability downward from the DSATUR bound; within each
     budget, backtracking with symmetry breaking (a vertex may open at most
-    one new color index).  Practical well past the sizes E8 uses.
+    one new color index).  Practical well past the sizes E8 uses.  Refuses
+    graphs past :data:`MAX_COLORING_N` with
+    :class:`~repro.errors.InstanceTooLargeError`.
     """
     n = graph.n
     if n == 0:
         return 0, []
-    if n > max_n:
-        raise ReproError(f"exact coloring capped at n={max_n} (got {n})")
+    if n > MAX_COLORING_N:
+        raise InstanceTooLargeError(
+            f"exact coloring is capped at n={MAX_COLORING_N} (got n={n}); "
+            "use dsatur_coloring for a heuristic bound"
+        )
     if graph.m == 0:
         return 1, [0] * n
 
@@ -147,24 +156,20 @@ def false_twin_quotient(graph: Graph) -> tuple[Graph, list[int], list[int]]:
     original vertex to its core vertex.  False twins are non-adjacent and
     interchangeable for coloring, so ``χ(core) == χ(G)``.
     """
-    groups: dict[frozenset[int], list[int]] = {}
-    for v in range(graph.n):
-        groups.setdefault(graph.neighbors(v), []).append(v)
-    reps = sorted(members[0] for members in groups.values())
-    index = {rep: i for i, rep in enumerate(reps)}
+    groups = equal_row_groups(graph.adjacency_matrix())
+    reps = [members[0] for members in groups]
     class_of = [0] * graph.n
-    for members in groups.values():
-        rep = members[0]
+    for i, members in enumerate(groups):
         for v in members:
-            class_of[v] = index[rep]
+            class_of[v] = i
     core = induced_subgraph(graph, reps)
     return core, reps, class_of
 
 
-def chromatic_number_via_twin_quotient(
-    graph: Graph, max_core_n: int = 40
-) -> tuple[int, list[int]]:
+def chromatic_number_via_twin_quotient(graph: Graph) -> tuple[int, list[int]]:
     """Exact ``χ(G)`` through the false-twin quotient (the nd-FPT route).
+
+    :data:`MAX_COLORING_N` caps the quotient core, not ``G``.
 
     >>> from repro.graphs.generators import complete_bipartite_graph
     >>> chromatic_number_via_twin_quotient(complete_bipartite_graph(10, 12))[0]
@@ -173,7 +178,7 @@ def chromatic_number_via_twin_quotient(
     if graph.n == 0:
         return 0, []
     core, _reps, class_of = false_twin_quotient(graph)
-    k, core_colors = chromatic_number_exact(core, max_n=max_core_n)
+    k, core_colors = chromatic_number_exact(core)
     colors = [core_colors[class_of[v]] for v in range(graph.n)]
     assert is_proper_coloring(graph, colors)
     return k, colors

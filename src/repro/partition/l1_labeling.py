@@ -22,7 +22,7 @@ from repro.partition.coloring import (
 )
 
 
-def l1_labeling_exact(graph: Graph, k: int, max_core_n: int = 40) -> Labeling:
+def l1_labeling_exact(graph: Graph, k: int) -> Labeling:
     """Optimal ``L(1,...,1)`` (k ones) labeling via exact coloring of ``G^k``.
 
     Uses the twin-quotient pipeline — the Theorem-4 algorithm.
@@ -32,7 +32,7 @@ def l1_labeling_exact(graph: Graph, k: int, max_core_n: int = 40) -> Labeling:
     2
     """
     power = graph_power(graph, k) if graph.n else graph
-    _, colors = chromatic_number_via_twin_quotient(power, max_core_n=max_core_n)
+    _, colors = chromatic_number_via_twin_quotient(power)
     labeling = Labeling(tuple(colors))
     labeling.require_feasible(graph, all_ones(k))
     return labeling

@@ -8,9 +8,11 @@ module), while a *prime* node forces one child-module per part.  Hence
 
     ``mw(G) = max(2, max #children over prime nodes)``   (n >= 2)
 
-We compute the decomposition with the classic ``O(n^3)``-ish recursive
-scheme (components / co-components / smallest-containing-module closure),
-which is simple enough to trust and fast enough for reproduction scale —
+We compute the decomposition on the boolean adjacency matrix: union and
+join nodes come from :func:`repro.graphs.cotree.module_split` (components /
+co-components by frontier expansion), prime nodes from a greedy scan of
+smallest-containing-module closures, and every child recurses on its
+submatrix.  Simple enough to trust and fast enough for reproduction scale —
 the paper itself defers to Tedder et al. for the linear-time version.
 """
 
@@ -19,48 +21,60 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Literal
 
+import numpy as np
+
 from repro.errors import GraphError
+from repro.graphs.cotree import module_split
 from repro.graphs.graph import Graph
-from repro.graphs.operations import complement, induced_subgraph
-from repro.graphs.traversal import connected_components
+
+
+def _splitters(adj: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """Mask of the vertices outside ``mod`` that see some but not all of it."""
+    seen = adj[:, mod].sum(axis=1)
+    return (seen > 0) & (seen < mod.sum()) & ~mod
+
+
+def _module_closure(adj: np.ndarray, mod: np.ndarray) -> np.ndarray:
+    """The smallest module containing the mask ``mod``.
+
+    Every module containing ``mod`` contains its splitters, so absorbing all
+    of them per round reaches the same (unique) fixed point as absorbing
+    them one at a time.
+    """
+    mod = mod.copy()
+    while True:
+        split = _splitters(adj, mod)
+        if not split.any():
+            return mod
+        mod |= split
+
+
+def _mask(graph: Graph, vertices: Iterable[int]) -> np.ndarray:
+    """Boolean vertex mask of ``vertices``, each checked to exist."""
+    mask = np.zeros(graph.n, dtype=bool)
+    for v in vertices:
+        graph._check_vertex(v)
+        mask[v] = True
+    return mask
 
 
 def is_module(graph: Graph, vertices: Iterable[int]) -> bool:
     """True iff every outside vertex sees all or none of ``vertices``."""
-    mod = set(vertices)
-    for v in mod:
-        graph._check_vertex(v)
-    adj = graph.adjacency_sets()
-    for z in range(graph.n):
-        if z in mod:
-            continue
-        inside = adj[z] & mod
-        if inside and inside != mod:
-            return False
-    return True
+    mod = _mask(graph, vertices)
+    return not _splitters(graph.adjacency_matrix(), mod).any()
 
 
 def smallest_containing_module(graph: Graph, seed: Iterable[int]) -> set[int]:
     """The unique smallest module containing ``seed`` (closure by splitters).
 
     A vertex ``z`` outside the current set that sees *some but not all* of it
-    must be absorbed; iterate to a fixed point.  Each pass is ``O(n^2)``.
+    must be absorbed; iterate to a fixed point.  Each round is ``O(n^2)``.
     """
-    mod = set(seed)
-    if not mod:
+    mod = _mask(graph, seed)
+    if not mod.any():
         raise GraphError("seed must be non-empty")
-    adj = graph.adjacency_sets()
-    changed = True
-    while changed:
-        changed = False
-        for z in range(graph.n):
-            if z in mod:
-                continue
-            inside = adj[z] & mod
-            if inside and inside != mod:
-                mod.add(z)
-                changed = True
-    return mod
+    closure = _module_closure(graph.adjacency_matrix(), mod)
+    return set(np.flatnonzero(closure).tolist())
 
 
 @dataclass
@@ -68,7 +82,7 @@ class MDNode:
     """A modular decomposition tree node.
 
     ``kind``: ``"leaf"`` (single vertex), ``"union"`` (disconnected),
-    ``"join"`` (complement disconnected) or ``"prime"``.
+    ``"join"`` (non-edge graph disconnected) or ``"prime"``.
     ``vertices`` are ids in the *original* graph.
     """
 
@@ -90,64 +104,55 @@ class MDNode:
 
 def modular_decomposition(graph: Graph) -> MDNode:
     """The modular decomposition tree (vertex ids preserved)."""
-    return _decompose(graph, tuple(range(graph.n)))
-
-
-def _decompose(graph: Graph, ids: tuple[int, ...]) -> MDNode:
-    """Decompose ``graph`` (an induced subgraph), ``ids[i]`` = original id."""
-    n = graph.n
-    if n == 0:
+    if graph.n == 0:
         raise GraphError("cannot decompose the empty graph")
-    if n == 1:
+    return _decompose(graph.adjacency_matrix(), tuple(range(graph.n)))
+
+
+def _decompose(adj: np.ndarray, ids: tuple[int, ...]) -> MDNode:
+    """Decompose the induced subgraph ``adj``; ``ids[i]`` = original id."""
+    if len(ids) == 1:
         return MDNode("leaf", ids)
+    kind, parts = module_split(adj)
+    if kind == "prime":
+        parts = _prime_blocks(adj)
+    children = [
+        _decompose(adj[np.ix_(p, p)], tuple(ids[v] for v in p)) for p in parts
+    ]
+    return MDNode(kind, ids, children)
 
-    comps = connected_components(graph)
-    if len(comps) > 1:
-        children = [
-            _decompose(induced_subgraph(graph, c), tuple(ids[v] for v in c))
-            for c in comps
-        ]
-        return MDNode("union", ids, children)
 
-    co_comps = connected_components(complement(graph))
-    if len(co_comps) > 1:
-        children = [
-            _decompose(induced_subgraph(graph, c), tuple(ids[v] for v in c))
-            for c in co_comps
-        ]
-        return MDNode("join", ids, children)
+def _prime_blocks(adj: np.ndarray) -> list[np.ndarray]:
+    """The children of a prime node: its maximal proper strong modules.
 
-    # prime: children are the maximal proper strong modules.  For a prime
-    # root these are the classes of the relation "smallest module containing
-    # {u, v} is proper"; we build them greedily per vertex.
-    blocks: list[set[int]] = []
-    assigned = [False] * n
+    For a prime root these are the classes of the relation "smallest module
+    containing ``{u, v}`` is proper"; we build them greedily per vertex.
+    """
+    n = adj.shape[0]
+    assigned = np.zeros(n, dtype=bool)
+    blocks: list[np.ndarray] = []
     for u in range(n):
         if assigned[u]:
             continue
-        block = {u}
+        block = np.zeros(n, dtype=bool)
+        block[u] = True
         for v in range(n):
-            if v == u or assigned[v]:
+            # block stays a module (overlapping modules are closed under
+            # union), so the closure of {u, v} for v in block adds nothing
+            if assigned[v] or block[v]:
                 continue
-            m = smallest_containing_module(graph, {u, v})
-            if len(m) < n:
+            pair = np.zeros(n, dtype=bool)
+            pair[[u, v]] = True
+            m = _module_closure(adj, pair)
+            if not m.all():
                 block |= m
-        # close the union of overlapping proper modules (still a module:
-        # overlapping modules are closed under union)
-        block = smallest_containing_module(graph, block)
-        if len(block) == n:
-            block = {u}  # u participates in no proper module beyond itself
-        for v in block:
-            assigned[v] = True
-        blocks.append(block)
-
-    children = [
-        _decompose(
-            induced_subgraph(graph, sorted(b)), tuple(ids[v] for v in sorted(b))
-        )
-        for b in blocks
-    ]
-    return MDNode("prime", ids, children)
+        block = _module_closure(adj, block)
+        if block.all():
+            block = np.zeros(n, dtype=bool)  # u is in no proper module but {u}
+            block[u] = True
+        assigned |= block
+        blocks.append(np.flatnonzero(block))
+    return blocks
 
 
 def modular_width(graph: Graph) -> int:

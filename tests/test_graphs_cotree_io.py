@@ -1,8 +1,12 @@
 """Cotree/cograph and IO tests."""
 
 import io
+import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs import generators as gen
@@ -10,6 +14,7 @@ from repro.graphs.cotree import (
     Cotree,
     is_cograph,
     join_node,
+    module_split,
     leaf,
     random_cograph,
     random_connected_cograph,
@@ -24,7 +29,25 @@ from repro.graphs.io import (
     write_dimacs,
     write_edge_list,
 )
+from repro.graphs.graph import Graph
 from repro.graphs.traversal import is_connected
+
+
+def _has_induced_p4(g: Graph) -> bool:
+    """Brute force: some 4 vertices induce a path (degrees 1, 1, 2, 2)."""
+    for quad in itertools.combinations(range(g.n), 4):
+        degrees = sorted(len(g.neighbors(v) & set(quad)) for v in quad)
+        if degrees == [1, 1, 2, 2]:
+            return True
+    return False
+
+
+@st.composite
+def small_graphs(draw, max_n=8):
+    n = draw(st.integers(0, max_n))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph(n, (p for p, k in zip(pairs, keep) if k))
 
 
 class TestCotree:
@@ -56,6 +79,25 @@ class TestCotree:
         for s in range(5):
             g = random_connected_cograph(9, seed=s)
             assert is_connected(g) and is_cograph(g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_is_cograph_matches_no_induced_p4(self, g):
+        assert is_cograph(g) == (not _has_induced_p4(g))
+
+    def test_module_split(self):
+        kind, parts = module_split(gen.cluster_graph([2, 3]).adjacency_matrix())
+        assert kind == "union"
+        assert [p.tolist() for p in parts] == [[0, 1], [2, 3, 4]]
+        kind, parts = module_split(gen.complete_bipartite_graph(2, 3).adjacency_matrix())
+        assert kind == "join"
+        assert [p.tolist() for p in parts] == [[0, 1], [2, 3, 4]]
+        assert module_split(gen.path_graph(4).adjacency_matrix()) == ("prime", [])
+        # parts come ordered by their smallest member, each sorted
+        adj = np.zeros((4, 4), dtype=bool)
+        adj[1, 3] = adj[3, 1] = True
+        kind, parts = module_split(adj)
+        assert [p.tolist() for p in parts] == [[0], [1, 3], [2]]
 
     def test_cotree_n_leaves(self):
         t = random_cotree(13, seed=0)

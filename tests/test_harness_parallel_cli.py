@@ -7,6 +7,13 @@ import pytest
 
 from repro.errors import ReproError
 from repro.graphs import generators as gen
+from repro.harness.experiments import (
+    ALL_EXPERIMENTS,
+    CONTEXT,
+    FOOTER,
+    ExperimentResult,
+    render_report,
+)
 from repro.harness.runner import EngineRun, run_engines, time_call
 from repro.harness.tables import render_markdown, render_table
 from repro.harness.workloads import WORKLOADS, make_workload, sweep
@@ -66,6 +73,10 @@ class TestTables:
         out = render_markdown(["x"], [[1]])
         assert out.splitlines()[1] == "|---|"
 
+    def test_render_markdown_escapes_cell_pipes(self):
+        out = render_markdown(["q"], [["|B_pi|"]])
+        assert out.splitlines()[2] == "| \\|B_pi\\| |"
+
     def test_float_formatting(self):
         out = render_table(["v"], [[0.00000012], [1234567.0], [0.0]])
         assert "e" in out  # scientific for extremes
@@ -74,6 +85,47 @@ class TestTables:
     def test_empty_rows(self):
         out = render_table(["col"], [])
         assert "col" in out
+
+
+def _fake_result(exp_id: str, passed: bool) -> ExperimentResult:
+    return ExperimentResult(
+        exp_id=exp_id,
+        title=f"fake {exp_id}",
+        headers=["a", "b"],
+        rows=[[1, 2.5]],
+        checks=[("the check", passed)],
+        notes="a note",
+    )
+
+
+class TestRenderReport:
+    def test_contains_all_sections(self):
+        text = render_report([_fake_result("E1", True), _fake_result("E2", True)])
+        assert text.startswith("# Reproduction report")
+        assert "## E1" in text and "## E2" in text
+        assert "Summary: 2/2 experiments pass" in text
+        assert "✅ PASS" in text
+        assert "a note" in text
+        assert FOOTER.splitlines()[0] in text
+
+    def test_failures_surface(self):
+        text = render_report([_fake_result("E1", False)])
+        assert "❌ FAIL" in text
+        assert "0/1 experiments pass" in text
+
+    def test_context_covers_all_experiments(self):
+        assert set(CONTEXT) == set(ALL_EXPERIMENTS)
+
+    def test_markdown_table_rendered(self):
+        text = render_report([_fake_result("E1", True)])
+        assert "| a | b |" in text
+
+    def test_section_is_the_result_render(self):
+        res = _fake_result("E2", True)
+        section = res.render()
+        assert section.startswith("## E2 — fake E2")
+        assert f"*Paper artefact:* {CONTEXT['E2'][0]}." in section
+        assert section in render_report([res])
 
 
 class TestParallelPool:
@@ -331,3 +383,4 @@ class TestCli:
     def test_experiment_run(self):
         code, out = self.run_cli(["experiment", "E2"])
         assert code == 0 and "PASS" in out
+        assert "Summary: 1/1 experiments pass" in out and "## E2" in out

@@ -1,15 +1,17 @@
 """Modular decomposition, modular-width, neighborhood diversity, coloring."""
 
+import hashlib
 import itertools
 
 import pytest
 
-from repro.errors import GraphError, ReproError
+from repro.errors import GraphError, InstanceTooLargeError, ReproError
 from repro.graphs import generators as gen
 from repro.graphs.cotree import random_cograph
 from repro.graphs.graph import Graph
 from repro.graphs.operations import complement, graph_power
 from repro.partition.coloring import (
+    MAX_COLORING_N,
     chromatic_number_exact,
     chromatic_number_via_twin_quotient,
     color_count,
@@ -54,6 +56,16 @@ class TestModules:
     def test_empty_seed_rejected(self):
         with pytest.raises(GraphError):
             smallest_containing_module(gen.path_graph(3), set())
+
+    @pytest.mark.parametrize("bad", [99, 4, -1])
+    def test_seed_vertices_must_exist(self, bad):
+        g = gen.path_graph(4)
+        with pytest.raises(GraphError, match="out of range"):
+            smallest_containing_module(g, {bad})
+        with pytest.raises(GraphError, match="out of range"):
+            smallest_containing_module(g, {0, bad})
+        with pytest.raises(GraphError, match="out of range"):
+            is_module(g, [bad])
 
 
 class TestDecomposition:
@@ -205,6 +217,15 @@ class TestColoring:
         with pytest.raises(ReproError):
             chromatic_number_exact(gen.empty_graph(50))
 
+    def test_size_cap_is_too_large(self):
+        too_big = gen.empty_graph(MAX_COLORING_N + 1)
+        with pytest.raises(InstanceTooLargeError, match=f"n={MAX_COLORING_N}"):
+            chromatic_number_exact(too_big)
+        # the quotient route caps the core: 41 false twins collapse to one
+        assert chromatic_number_via_twin_quotient(too_big)[0] == 1
+        with pytest.raises(InstanceTooLargeError):
+            chromatic_number_via_twin_quotient(gen.complete_graph(MAX_COLORING_N + 1))
+
     def test_edge_cases(self):
         assert chromatic_number_exact(Graph(0)) == (0, [])
         assert chromatic_number_exact(gen.empty_graph(4))[0] == 1
@@ -221,3 +242,44 @@ class TestColoring:
         core, reps, class_of = false_twin_quotient(g)
         assert core.n == 2 and len(reps) == 2
         assert all(0 <= class_of[v] < 2 for v in range(g.n))
+
+
+def _structural_digest_graphs() -> list[Graph]:
+    """The fixed graph set behind :func:`test_structural_outputs_are_pinned`."""
+    from repro.harness.workloads import MATRIX, make_workload
+
+    graphs = [
+        gen.random_gnp(2 + s % 11, (0.2, 0.4, 0.6, 0.8)[s % 4], seed=s)
+        for s in range(60)
+    ]
+    graphs += [random_cograph(n, seed=s) for n in (5, 9, 13, 19) for s in range(4)]
+    families = sorted({leg.family for leg in MATRIX.values()})
+    graphs += [make_workload(f, 20, s).graph for f in families for s in (0, 1)]
+    graphs += [
+        gen.path_graph(4),
+        gen.cycle_graph(5),
+        Graph(5, [(0, 1), (0, 4), (1, 4), (1, 2), (4, 2), (2, 3)]),
+    ]
+    return graphs
+
+
+#: SHA-256 over every structural output of the graph set above.  A change
+#: to the modular decomposition, the cograph test or the twin grouping
+#: must keep it.
+STRUCTURAL_DIGEST = "74cac543082de1c977c96ec139391e5948735f2da88e956116f706aa75db1c27"
+
+
+def test_structural_outputs_are_pinned():
+    from repro.graphs.cotree import is_cograph
+
+    h = hashlib.sha256()
+    for g in _structural_digest_graphs():
+        tree = modular_decomposition(g)
+        pre = [(node.kind, tuple(node.vertices)) for node in tree.iter_nodes()]
+        _core, reps, class_of = false_twin_quotient(g)
+        row = (
+            g.n, sorted(g.edges()), pre, modular_width(g), is_cograph(g),
+            twin_classes(g), reps, class_of,
+        )
+        h.update(repr(row).encode())
+    assert h.hexdigest() == STRUCTURAL_DIGEST
