@@ -157,7 +157,8 @@ perf:
 	$(PYTHON) -m repro perf run --dir $(PERF_DIR)
 	$(PYTHON) -m repro perf compare --dir $(PERF_DIR)
 
-# one matrix leg, small sizes — the CI perf-gate entry point
+# two reduction legs (reduce + auto solve) and the n=512 oracle leg, small
+# sizes — the CI perf-gate entry point
 perf-quick:
 	$(PYTHON) -m repro perf run --quick --dir $(PERF_DIR)
 	$(PYTHON) -m repro perf compare --dir $(PERF_DIR)

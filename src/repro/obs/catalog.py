@@ -38,6 +38,12 @@ CATALOG: dict[str, tuple[str, str]] = {
         "Incremental delta repairs abandoned for a full APSP recompute "
         "(threshold fallback, trimmed mutation window, or replay desync).",
     ),
+    "repro_lk_kicks_total": (
+        COUNTER,
+        "Double-bridge kicks the LK engine actually ran in this process "
+        "(the kick loop stops once the incumbent meets the MST bound) — "
+        "the perf-gated lk_kicks signal.",
+    ),
     # ---- blocked distance oracle ---------------------------------------
     "repro_oracle_block_hits_total": (
         COUNTER,

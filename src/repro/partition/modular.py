@@ -34,19 +34,23 @@ def _splitters(adj: np.ndarray, mod: np.ndarray) -> np.ndarray:
     return (seen > 0) & (seen < mod.sum()) & ~mod
 
 
-def _module_closure(adj: np.ndarray, mod: np.ndarray) -> np.ndarray:
-    """The smallest module containing the mask ``mod``.
+def _module_closures(adj: np.ndarray, mods: np.ndarray) -> np.ndarray:
+    """The smallest module containing each row of the mask matrix ``mods``.
 
-    Every module containing ``mod`` contains its splitters, so absorbing all
+    Every module containing a row contains its splitters, so absorbing all
     of them per round reaches the same (unique) fixed point as absorbing
-    them one at a time.
+    them one at a time.  Each round counts, for every row and vertex, the
+    row's members the vertex sees (``mods @ adj.T``, a float BLAS product:
+    the counts are small integers, exact in float64).
     """
-    mod = mod.copy()
+    mods = mods.copy()
+    a = adj.astype(np.float64)
     while True:
-        split = _splitters(adj, mod)
+        seen = mods.astype(np.float64) @ a.T
+        split = (seen > 0) & (seen < mods.sum(axis=1, keepdims=True)) & ~mods
         if not split.any():
-            return mod
-        mod |= split
+            return mods
+        mods |= split
 
 
 def _mask(graph: Graph, vertices: Iterable[int]) -> np.ndarray:
@@ -73,7 +77,7 @@ def smallest_containing_module(graph: Graph, seed: Iterable[int]) -> set[int]:
     mod = _mask(graph, seed)
     if not mod.any():
         raise GraphError("seed must be non-empty")
-    closure = _module_closure(graph.adjacency_matrix(), mod)
+    closure = _module_closures(graph.adjacency_matrix(), mod[None, :])[0]
     return set(np.flatnonzero(closure).tolist())
 
 
@@ -126,7 +130,10 @@ def _prime_blocks(adj: np.ndarray) -> list[np.ndarray]:
     """The children of a prime node: its maximal proper strong modules.
 
     For a prime root these are the classes of the relation "smallest module
-    containing ``{u, v}`` is proper"; we build them greedily per vertex.
+    containing ``{u, v}`` is proper"; we build them greedily per vertex:
+    the block of ``u`` is the union of the proper closures of ``{u, v}``
+    over the unassigned ``v``, all closed at once (a union of overlapping
+    modules is a module).
     """
     n = adj.shape[0]
     assigned = np.zeros(n, dtype=bool)
@@ -134,19 +141,15 @@ def _prime_blocks(adj: np.ndarray) -> list[np.ndarray]:
     for u in range(n):
         if assigned[u]:
             continue
-        block = np.zeros(n, dtype=bool)
+        others = np.flatnonzero(~assigned)
+        others = others[others != u]
+        pairs = np.zeros((len(others), n), dtype=bool)
+        pairs[:, u] = True
+        pairs[np.arange(len(others)), others] = True
+        closures = _module_closures(adj, pairs)
+        block = closures[~closures.all(axis=1)].any(axis=0)
         block[u] = True
-        for v in range(n):
-            # block stays a module (overlapping modules are closed under
-            # union), so the closure of {u, v} for v in block adds nothing
-            if assigned[v] or block[v]:
-                continue
-            pair = np.zeros(n, dtype=bool)
-            pair[[u, v]] = True
-            m = _module_closure(adj, pair)
-            if not m.all():
-                block |= m
-        block = _module_closure(adj, block)
+        block = _module_closures(adj, block[None, :])[0]
         if block.all():
             block = np.zeros(n, dtype=bool)  # u is in no proper module but {u}
             block[u] = True

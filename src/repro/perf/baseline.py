@@ -12,9 +12,10 @@ The committed baseline is a normal trajectory payload plus a per-experiment
 Wall-time gating is per experiment: ratio ≤ ~1 is ``ok``, ratio within the
 experiment's tolerance is ``slower`` (pass, but reported), beyond it is a
 ``regression``.  On top of wall time, :data:`METRIC_GATES` guards the
-invariant counters — ``apsp_run_count`` and ``full_apsp_refresh_count``
-must not grow, ``cache_hit_rate`` must not fall — so a future PR cannot
-give back the oracle, cache or incremental-repair wins while staying
+invariant counters — ``apsp_run_count``, ``full_apsp_refresh_count``,
+``span_excess`` and ``lk_kicks`` must not grow, ``cache_hit_rate`` must
+not fall — so a future PR cannot give back the oracle, cache,
+incremental-repair, answer-quality or certified-stop wins while staying
 inside the timing noise.
 """
 
@@ -72,6 +73,12 @@ METRIC_GATES: dict[str, tuple[str, float]] = {
     # baseline-relative check below it means the ratio may never worsen
     # even while comfortably under the ceiling
     "approx_ratio": ("ceiling", 1.5),
+    # the ``auto`` solve over a reduction leg (SOLVE scenario): the summed
+    # span excess over the golden optima may never grow, and neither may
+    # the LK kicks it took — a deterministic work count, so a change that
+    # kicks more fails here even when the extra time hides in the noise
+    "span_excess": ("max", 0.0),
+    "lk_kicks": ("max", 0.0),
 }
 
 #: ``floor``-gated metrics are only enforceable when the measuring run had

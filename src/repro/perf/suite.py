@@ -4,10 +4,12 @@ Each scenario re-measures one perf claim the repo has already paid for —
 the vectorized-APSP win and the one-APSP-per-solve invariant (E12), the
 service cache's duplicate-stream speedup (E11), the dynamic engine's
 churn-stream win (E13), the concurrent front end's serving throughput
-over the SERVICE hot/cold streams (E14), the Theorem-2 reduction
-and end-to-end engine cost over the named workload matrix — and returns a
+over the SERVICE hot/cold streams (E14), the Theorem-2 reduction, the
+``auto`` solve against the golden spans and end-to-end engine cost over
+the named workload matrix — and returns a
 :class:`~repro.perf.schema.PerfRecord` with per-repeat wall times plus the
-scenario's counters (``apsp_run_count``, cache-hit stats, spans/ratios).
+scenario's counters (``apsp_run_count``, cache-hit stats, spans/ratios,
+``span_excess``, ``lk_kicks``).
 ``run_perf_suite`` strings the records into a schema-versioned
 :class:`~repro.perf.schema.Trajectory` ready to be written as
 ``BENCH_<k>.json`` and gated by :mod:`repro.perf.baseline`.
@@ -20,9 +22,11 @@ the median meaningless.
 from __future__ import annotations
 
 import dataclasses
+import json
 import math
 import statistics
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -47,15 +51,22 @@ from repro.harness.workloads import (
     service_stream,
 )
 from repro.labeling.spec import L21
+from repro.obs.metrics import REGISTRY
 from repro.perf.environment import environment_provenance
 from repro.perf.schema import PerfRecord, Trajectory
 from repro.reduction.to_tsp import reduce_to_path_tsp
 from repro.service.protocol import SolveRequest
 from repro.service.server import ConcurrentLabelingService
 
-#: Matrix legs a ``--quick`` run sweeps, per the CI perf-gate: one
-#: reduction leg plus the n=512 blocked-oracle smoke.
-QUICK_LEGS = ("diam2-small", "large-512")
+#: Matrix legs a ``--quick`` run sweeps, per the CI perf-gate: two
+#: reduction legs (``diam3-sparse`` is where the MATRIX span excess is)
+#: plus the n=512 blocked-oracle smoke.
+QUICK_LEGS = ("diam2-small", "diam3-sparse", "large-512")
+
+#: The golden-span table the ``solve:<leg>`` scenario scores against, read
+#: relative to the working directory (the repo root), like the CLI's
+#: default ``benchmarks/baseline.json``.
+GOLDEN_SPANS = Path("tests/data/golden_spans.json")
 
 
 def _timed_repeats(fn, repeats: int, min_seconds: float = 0.0) -> tuple[float, ...]:
@@ -216,6 +227,53 @@ def reduction_leg_scenario(leg_name: str, repeats: int) -> PerfRecord:
             "graphs": len(workloads),
             "total_n": sum(wl.n for wl in workloads),
             "total_m": sum(wl.graph.m for wl in workloads),
+        },
+    )
+
+
+def solve_leg_scenario(leg_name: str, repeats: int) -> PerfRecord:
+    """``solve_labeling(engine="auto")`` over one matrix leg, refereed.
+
+    Times one pass over the leg's workloads (fresh graph copies) and
+    records two gated counts of the last pass: ``span_excess``, the summed
+    ``span - golden`` against :data:`GOLDEN_SPANS` (answer quality), and
+    ``lk_kicks``, the double-bridge kicks LK ran (work a certified stop
+    saves).  Both are deterministic for a fixed leg.
+    """
+    from repro.labeling.spec import LpSpec
+    from repro.reduction.solver import solve_labeling
+
+    try:
+        table = json.loads(GOLDEN_SPANS.read_text())["spans"]
+    except OSError as exc:
+        raise ReproError(
+            f"cannot read the golden spans {str(GOLDEN_SPANS)!r} "
+            f"(run from the repo root): {exc}"
+        ) from None
+    golden = {(r["leg"], r["n"], r["seed"]): r["span"] for r in table}
+    workloads = matrix_sweep(leg_name)
+    spec = LpSpec(MATRIX[leg_name].spec)
+    excess = kicks = 0
+
+    def run_leg() -> None:
+        """Solve every workload of the leg once, scoring the spans."""
+        nonlocal excess, kicks
+        before = REGISTRY.value("repro_lk_kicks_total")
+        excess = sum(
+            solve_labeling(wl.graph.copy(), spec, engine="auto").span
+            - golden[(leg_name, wl.n, wl.seed)]
+            for wl in workloads
+        )
+        kicks = int(REGISTRY.value("repro_lk_kicks_total") - before)
+
+    walls = _timed_repeats(run_leg, repeats)
+    return PerfRecord(
+        experiment=f"solve:{leg_name}",
+        wall_seconds=walls,
+        metrics={
+            "graphs": len(workloads),
+            "span_excess": excess,
+            "lk_kicks": kicks,
         },
     )
 
@@ -584,8 +642,8 @@ def run_perf_suite(
     ``quick`` shrinks sizes, drops the engine sweep and the large churn
     leg, and defaults to :data:`QUICK_LEGS` — the shape the CI perf-gate
     runs.  ``legs`` overrides which matrix legs are swept; each leg is
-    routed by its ``reduction`` flag to either the Theorem-2 reduction
-    scenario or the blocked-oracle scaling scenario.
+    routed by its ``reduction`` flag to either the Theorem-2 reduction and
+    ``auto`` solve scenarios or the blocked-oracle scaling scenario.
     """
     if repeats is None:
         repeats = 3 if quick else 5
@@ -606,10 +664,10 @@ def run_perf_suite(
         concurrent_service_scenario(quick, repeats),
         qos_overload_scenario(quick, repeats),
     ]
-    records.extend(
-        reduction_leg_scenario(leg, repeats)
-        for leg in legs if MATRIX[leg].reduction
-    )
+    for leg in legs:
+        if MATRIX[leg].reduction:
+            records.append(reduction_leg_scenario(leg, repeats))
+            records.append(solve_leg_scenario(leg, repeats))
     records.extend(
         oracle_scaling_scenario(leg, repeats)
         for leg in legs if not MATRIX[leg].reduction

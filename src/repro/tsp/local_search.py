@@ -2,9 +2,11 @@
 
 All moves are specialized to the *path* objective (no wrap-around edge), with
 the segment-touches-endpoint cases handled separately — a subtle point that
-cycle-oriented implementations get wrong.  The 2-opt inner loop is fully
-vectorized (one ``O(n^2)`` NumPy kernel per improvement step), per the
-hpc-parallel guides.
+cycle-oriented implementations get wrong.  Both inner loops are vectorized:
+2-opt evaluates every reversal as one ``O(n^2)`` NumPy kernel per
+improvement step, and Or-opt evaluates every (start, gap, orientation) of
+one segment length as one delta tensor, taking its first improving entry in
+scan order so the moves stay first-improvement.
 """
 
 from __future__ import annotations
@@ -112,49 +114,68 @@ def or_opt_path(instance: TSPInstance, start: HamPath) -> HamPath:
 
 
 def _first_or_opt_move(w: np.ndarray, order: list[int], L: int) -> list[int] | None:
-    """First improving relocation of a length-``L`` segment, or ``None``."""
-    n = len(order)
+    """First improving relocation of a length-``L`` segment, or ``None``.
 
-    def edge(u: int, v: int) -> float:
-        """Weight of the tour edge between positions ``u`` and ``v``."""
-        return float(w[order[u], order[v]])
+    Every (segment start ``i``, insertion gap ``pos``, orientation) is one
+    entry of a ``(n-L+1) x (n-L+1) x 2`` delta tensor, kept only for the
+    starts whose excision gains anything (and with one orientation when
+    ``L == 1``, where reversing changes nothing).  The path left after
+    cutting ``order[i..i+L-1]`` is ``rest[i, k] = order[k + L*(k >= i)]``;
+    the move inserts the segment (forward, then reversed) in front of
+    ``rest[i, pos]``.  The first entry below ``-eps`` in C order is the
+    move a start/gap/orientation scan would meet first, so this is
+    first-improvement Or-opt, one kernel per call.
+    """
+    o = np.asarray(order, dtype=np.intp)
+    n = len(o)
+    m = n - L  # length of the remaining path
+    head, tail = o[: m + 1], o[L - 1 :]  # segment ends, per start
 
-    for i in range(n - L + 1):
-        j = i + L - 1  # segment is order[i..j]
-        # cost removed when the segment is excised
-        left, right = i - 1, j + 1
-        removed = 0.0
-        if left >= 0:
-            removed += edge(left, i)
-        if right <= n - 1:
-            removed += edge(j, right)
-        bridge = edge(left, right) if (left >= 0 and right <= n - 1) else 0.0
-        gain_remove = removed - bridge
-        if gain_remove <= _EPS:
-            continue
-        rest = order[:i] + order[j + 1 :]
-        seg = order[i : j + 1]
-        # try inserting seg (both orientations) at every gap of `rest`
-        for pos in range(len(rest) + 1):
-            if pos == i:  # same place, same orientation = identity
-                candidates = (seg[::-1],) if L > 1 else ()
-            else:
-                candidates = (seg, seg[::-1]) if L > 1 else (seg,)
-            for s in candidates:
-                add = 0.0
-                if pos > 0:
-                    add += float(w[rest[pos - 1], s[0]])
-                if pos < len(rest):
-                    add += float(w[s[-1], rest[pos]])
-                bridge_removed = (
-                    float(w[rest[pos - 1], rest[pos]])
-                    if 0 < pos < len(rest)
-                    else 0.0
-                )
-                delta = add - bridge_removed - gain_remove
-                if delta < -_EPS:
-                    return rest[:pos] + s + rest[pos:]
-    return None
+    # excision gain per start: removed edges minus the bridging edge
+    removed = np.zeros(m + 1)
+    removed[1:] += w[o[:m], head[1:]]
+    removed[:-1] += w[tail[:-1], o[L:]]
+    bridge = np.zeros(m + 1)
+    bridge[1:-1] = w[o[: m - 1], o[L + 1 :]]
+    gain = removed - bridge
+    rows = np.flatnonzero(gain > _EPS)
+    if len(rows) == 0:
+        return None
+
+    k = np.arange(m)
+    rest = o[k[None, :] + L * (k[None, :] >= rows[:, None])]
+    # rest[:, pos-1] and rest[:, pos] for every gap pos in 0..m (clamped
+    # at the ends, where the has_prev / has_next masks zero the edge out)
+    gaps = np.arange(m + 1)
+    prev = rest[:, np.maximum(gaps - 1, 0)]
+    nxt = rest[:, np.minimum(gaps, m - 1)]
+    has_prev, has_next = gaps > 0, gaps < m
+    bridge_removed = np.where(has_prev & has_next, w[prev, nxt], 0.0)
+    h, t = head[rows, None], tail[rows, None]
+    ends = ((h, t), (t, h)) if L > 1 else ((h, t),)
+    delta = np.stack(
+        [
+            (
+                np.where(has_prev, w[prev, first], 0.0)
+                + np.where(has_next, w[last, nxt], 0.0)
+                - bridge_removed
+            )
+            - gain[rows, None]
+            for first, last in ends
+        ],
+        axis=-1,
+    )
+    delta[np.arange(len(rows)), rows, 0] = np.inf  # identity: same gap, forward
+
+    hit = delta < -_EPS
+    flat = int(np.argmax(hit))
+    if not hit.flat[flat]:
+        return None
+    r, pos, rev = np.unravel_index(flat, delta.shape)
+    i = int(rows[r])
+    seg = order[i : i + L]
+    kept = rest[r].tolist()
+    return kept[:pos] + (seg[::-1] if rev else seg) + kept[pos:]
 
 
 def three_opt_path(instance: TSPInstance, start: HamPath) -> HamPath:

@@ -17,6 +17,7 @@ from repro.graphs import generators as gen
 from repro.harness.workloads import MATRIX, make_workload
 from repro.labeling import special
 from repro.labeling.spec import LpSpec
+from repro.obs.metrics import REGISTRY
 from repro.reduction.solver import solve_labeling
 
 GOLDEN = json.loads(
@@ -26,6 +27,10 @@ GOLDEN = json.loads(
 #: Σ(span − golden) over the table: LK answers 42 and 43 on
 #: ``diam3-sparse`` n=40, whose optimum is 41 on both seeds.
 MAX_SPAN_EXCESS = 3
+
+#: LK kicks over the 22 MATRIX ``auto`` solves: 9 instances run all 20,
+#: the other 13 meet the MST bound after the first descent and run none.
+MATRIX_LK_KICKS = 180
 
 
 def _record_id(rec):
@@ -78,3 +83,12 @@ def test_span_against_golden(rec, solved):
 def test_span_excess_does_not_grow(solved):
     excess = sum(solved[_record_id(r)].span - r["span"] for r in GOLDEN)
     assert excess <= MAX_SPAN_EXCESS
+
+
+def test_matrix_auto_sweep_kicks():
+    before = REGISTRY.value("repro_lk_kicks_total")
+    for leg in MATRIX.values():
+        if leg.reduction:
+            for w in leg.workloads():
+                solve_labeling(w.graph, LpSpec(leg.spec), engine="auto")
+    assert REGISTRY.value("repro_lk_kicks_total") - before == MATRIX_LK_KICKS

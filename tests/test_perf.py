@@ -238,6 +238,20 @@ class TestComparator:
         current, base = self._oracle_pair(peak=524288, hit_rate=0.98)
         assert compare(current, base).passed
 
+    @pytest.mark.parametrize("metric", ["span_excess", "lk_kicks"])
+    def test_solve_counter_gates_fail_on_rise(self, metric):
+        record = lambda excess, kicks: PerfRecord(  # noqa: E731
+            "solve:diam3-sparse", (0.1, 0.1, 0.1),
+            {"graphs": 4, "span_excess": excess, "lk_kicks": kicks},
+        )
+        base = make_trajectory(records=[record(3, 80)])
+        assert compare(make_trajectory(records=[record(3, 80)]), base).passed
+        assert compare(make_trajectory(records=[record(2, 40)]), base).passed
+        worse = record(4, 80) if metric == "span_excess" else record(3, 81)
+        report = compare(make_trajectory(records=[worse]), base)
+        assert not report.passed
+        assert metric in report.verdicts[0].detail
+
     def test_affinity_mismatch_warns_but_passes(self):
         base = make_trajectory()
         current = make_trajectory()
@@ -530,6 +544,22 @@ class TestSuiteValidation:
         with pytest.raises(ReproError, match="unknown matrix legs"):
             run_perf_suite(quick=True, legs=["warp-speed"])
 
+    def test_solve_scenario_needs_the_golden_table(self, tmp_path, monkeypatch):
+        from repro.perf.suite import solve_leg_scenario
+
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ReproError, match="golden spans"):
+            solve_leg_scenario("diam2-small", 1)
+
+    def test_solve_scenario_scores_diam3_sparse(self):
+        from repro.perf.suite import solve_leg_scenario
+
+        record = solve_leg_scenario("diam3-sparse", 1)
+        assert record.experiment == "solve:diam3-sparse"
+        # LK answers 42 and 43 against 41 at n=40, and is never certified
+        # on this leg, so all 4 instances run their 20 kicks
+        assert record.metrics == {"graphs": 4, "span_excess": 3, "lk_kicks": 80}
+
 
 class TestEnvironment:
     def test_provenance_fields(self):
@@ -577,6 +607,8 @@ class TestCliPerf:
         assert cache["metrics"]["cache_hit_rate"] == pytest.approx(0.9)
         dynamic = records["dynamic_churn:churn-diam2-small"]
         assert dynamic["metrics"]["full_apsp_refresh_count"] == 0
+        solve = records["solve:diam2-small"]["metrics"]
+        assert (solve["span_excess"], solve["lk_kicks"]) == (0, 0)
         assert data["environment"]["calibration_seconds"] > 0
 
         # exercise the compare path against the committed baseline; only the

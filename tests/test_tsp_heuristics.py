@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.obs.metrics import REGISTRY
 from repro.tsp.construction import (
     best_nearest_neighbor_path,
     cheapest_insertion_cycle,
@@ -14,7 +17,13 @@ from repro.tsp.construction import (
 from repro.tsp.held_karp import held_karp_path
 from repro.tsp.instance import TSPInstance
 from repro.tsp.lin_kernighan import lk_style_path, _double_bridge
-from repro.tsp.local_search import or_opt_path, three_opt_path, two_opt_path
+from repro.tsp.local_search import (
+    _first_or_opt_move,
+    or_opt_path,
+    three_opt_path,
+    two_opt_path,
+)
+from repro.tsp.mst import mst_weight
 from repro.tsp.tour import HamPath
 
 
@@ -128,3 +137,138 @@ class TestLKStyle:
         for n in (1, 2, 3):
             inst = TSPInstance.random_metric(n, seed=0)
             assert _valid(lk_style_path(inst, kicks=3, seed=0), n)
+
+    @staticmethod
+    def _kicks_run(inst, **kwargs):
+        before = REGISTRY.value("repro_lk_kicks_total")
+        path = lk_style_path(inst, **kwargs)
+        return path, REGISTRY.value("repro_lk_kicks_total") - before
+
+    def test_start_at_mst_bound_runs_no_kicks(self):
+        # weight-1 edges along 0-1-...-9, weight 2 elsewhere: the start path
+        # is a spanning tree, so it meets the MST bound before any kick
+        n = 10
+        w = np.full((n, n), 2.0)
+        np.fill_diagonal(w, 0.0)
+        for i in range(n - 1):
+            w[i, i + 1] = w[i + 1, i] = 1.0
+        inst = TSPInstance(w)
+        start = HamPath.from_order(inst, list(range(n)))
+        path, kicks = self._kicks_run(inst, kicks=20, seed=0, start=start)
+        assert kicks == 0
+        assert path.length == mst_weight(inst) == n - 1
+
+    def test_uncertified_instance_runs_every_kick(self):
+        # a weight-1 star: the MST (n-1) is below every path (2 + 2(n-3))
+        n = 10
+        w = np.full((n, n), 2.0)
+        np.fill_diagonal(w, 0.0)
+        w[0, 1:] = w[1:, 0] = 1.0
+        inst = TSPInstance(w)
+        path, kicks = self._kicks_run(inst, kicks=7, seed=0)
+        assert kicks == 7
+        assert path.length == 2 * n - 4
+
+
+# ---------------------------------------------------------------------------
+# reference kernels: the vectorized engine code must make the same moves
+# ---------------------------------------------------------------------------
+_EPS = 1e-10
+
+
+def _scalar_first_or_opt_move(w, order, L):
+    """Reference Or-opt kernel: scan (start, gap, orientation) one by one."""
+    n = len(order)
+
+    def edge(u, v):
+        return float(w[order[u], order[v]])
+
+    for i in range(n - L + 1):
+        j = i + L - 1  # segment is order[i..j]
+        left, right = i - 1, j + 1
+        removed = 0.0
+        if left >= 0:
+            removed += edge(left, i)
+        if right <= n - 1:
+            removed += edge(j, right)
+        bridge = edge(left, right) if (left >= 0 and right <= n - 1) else 0.0
+        gain_remove = removed - bridge
+        if gain_remove <= _EPS:
+            continue
+        rest = order[:i] + order[j + 1 :]
+        seg = order[i : j + 1]
+        for pos in range(len(rest) + 1):
+            if pos == i:  # same place, same orientation = identity
+                candidates = (seg[::-1],) if L > 1 else ()
+            else:
+                candidates = (seg, seg[::-1]) if L > 1 else (seg,)
+            for s in candidates:
+                add = 0.0
+                if pos > 0:
+                    add += float(w[rest[pos - 1], s[0]])
+                if pos < len(rest):
+                    add += float(w[s[-1], rest[pos]])
+                bridge_removed = (
+                    float(w[rest[pos - 1], rest[pos]]) if 0 < pos < len(rest) else 0.0
+                )
+                delta = add - bridge_removed - gain_remove
+                if delta < -_EPS:
+                    return rest[:pos] + s + rest[pos:]
+    return None
+
+
+def _full_kick_lk(instance, kicks, seed):
+    """Reference chained LK: descent plus every kick, no early stop."""
+    rng = np.random.default_rng(seed)
+    start = min(
+        [greedy_edge_path(instance), nearest_neighbor_path(instance, 0)],
+        key=lambda p: p.length,
+    )
+    best = three_opt_path(instance, start)
+    cur = best
+    for _ in range(kicks):
+        improved = three_opt_path(instance, _double_bridge(instance, cur, rng))
+        if improved.length < cur.length - _EPS:
+            cur = improved
+        if improved.length < best.length - _EPS:
+            best = improved
+    return best
+
+
+def _symmetric(rng, n, values):
+    """Random symmetric weight matrix with a zero diagonal."""
+    if values is None:
+        w = rng.random((n, n))
+    else:
+        w = rng.choice(np.asarray(values, dtype=float), size=(n, n))
+    w = np.triu(w, 1)
+    return w + w.T
+
+
+@st.composite
+def _or_opt_cases(draw):
+    n = draw(st.integers(2, 29))
+    L = draw(st.integers(1, 3).filter(lambda v: v < n))
+    values = draw(st.sampled_from([(1, 2), (1, 2, 3), None]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return n, L, values, seed
+
+
+class TestReferenceKernels:
+    @given(_or_opt_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_or_opt_move_matches_scalar_scan(self, case):
+        n, L, values, seed = case
+        rng = np.random.default_rng(seed)
+        w = _symmetric(rng, n, values)
+        order = rng.permutation(n).tolist()
+        assert _first_or_opt_move(w, order, L) == _scalar_first_or_opt_move(w, order, L)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_lk_matches_full_kick_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 41))
+        inst = TSPInstance(_symmetric(rng, n, (1, 2)))
+        got = lk_style_path(inst, kicks=20, seed=seed)
+        want = _full_kick_lk(inst, 20, seed)
+        assert (got.order, got.length) == (want.order, want.length)

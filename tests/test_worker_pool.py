@@ -26,6 +26,7 @@ import pytest
 from repro.errors import ReproError, WorkerCrashedError
 from repro.graphs import generators as gen
 from repro.graphs.analysis import get_analysis
+from repro.harness.workloads import make_workload
 from repro.labeling.spec import LpSpec
 from repro.parallel.pool import WorkerPool
 from repro.reduction.solver import solve_labeling
@@ -71,9 +72,14 @@ def pooled_service(monkeypatch):
     return ConcurrentLabelingService(workers=2)
 
 
-def slow_graph(n: int = 60):
-    """A diameter-2 instance whose ``SLOW_ENGINE`` solve takes seconds."""
-    return gen.random_graph_with_diameter_at_most(n, 2, seed=3)
+def slow_graph(n: int = 64):
+    """A diameter-2 instance whose ``SLOW_ENGINE`` solve runs every kick.
+
+    LK stops kicking once its path meets the MST bound; on this cograph
+    (seed 1) it never does, so the solve takes 0.15-0.3 s at n = 30-64,
+    long enough for a kill right after dispatch to land mid-solve.
+    """
+    return make_workload("cograph", n, seed=1).graph
 
 
 class Call:
